@@ -4,9 +4,9 @@
 //! degradation the refresh controller claws back by fine-tuning on
 //! executed ground truth and republishing through the catalog.
 //!
-//! Run with `cargo bench -p bench --bench serving_drift` (after
-//! `serving_throughput` / `serving_multi_tenant`, whose `BENCH_serving.json`
-//! this bench extends with a `drift` section).  Three measurements:
+//! Run with `cargo bench -p bench --bench serving_drift`; it merges a
+//! `drift` section into `BENCH_serving.json`, keeping the other serving
+//! benches' sections.  Three measurements:
 //!
 //! * **Capture overhead** — batch estimation throughput of two tenants
 //!   serving identical weights, one with the `FeedbackLog` enabled and one
@@ -232,7 +232,7 @@ fn main() {
     let _ = std::fs::remove_file(&ckpt);
     let _ = std::fs::remove_file(&refreshed_ckpt);
 
-    // --- Extend BENCH_serving.json with the drift section. ---
+    // --- Merge the drift section into BENCH_serving.json. ---
     let mut section = String::from("{\n");
     let _ = writeln!(section, "    \"phases\": {phases},");
     let _ = writeln!(section, "    \"queries_per_phase\": {queries_per_phase},");
@@ -258,7 +258,7 @@ fn main() {
 
     let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
     let path = format!("{out_dir}/BENCH_serving.json");
-    merge_drift_section(&path, &section);
+    bench::merge_json_sections(&path, &[("drift", section)]);
     println!("merged drift section into {path}");
 
     if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
@@ -279,31 +279,4 @@ fn main() {
         assert_eq!(generation, 2, "republish must be the loop tenant's second generation");
         println!("check mode: drift floors hold (capture >= 0.95, recovery >= 0.5, republished gen 2)");
     }
-}
-
-/// Splice the `drift` section into an existing `BENCH_serving.json`
-/// (written by `serving_throughput` and extended by `serving_multi_tenant`),
-/// replacing any previous section; writes a standalone object when the file
-/// does not exist.
-fn merge_drift_section(path: &str, section: &str) {
-    let json = match std::fs::read_to_string(path) {
-        Ok(base) => {
-            // Cut at a previous drift section (idempotent re-runs, even when
-            // drift was the file's first key) or at the final closing brace.
-            let head = match base.find("\"drift\":") {
-                Some(i) => base[..i].trim_end().trim_end_matches(',').to_string(),
-                None => {
-                    let trimmed = base.trim_end();
-                    trimmed.strip_suffix('}').unwrap_or(trimmed).trim_end().to_string()
-                }
-            };
-            if head == "{" || head.is_empty() {
-                format!("{{\n  \"drift\": {section}\n}}\n")
-            } else {
-                format!("{head},\n  \"drift\": {section}\n}}\n")
-            }
-        }
-        Err(_) => format!("{{\n  \"drift\": {section}\n}}\n"),
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

@@ -2,9 +2,9 @@
 //! one process: several named checkpointed models, live hot-swaps, and
 //! concurrent sessions of one tenant coalesced through the admission layer.
 //!
-//! Run with `cargo bench -p bench --bench serving_multi_tenant` (after
-//! `serving_throughput`, whose `BENCH_serving.json` this bench extends with
-//! a `multi_tenant` section).  Three measurements:
+//! Run with `cargo bench -p bench --bench serving_multi_tenant`; it merges
+//! a `multi_tenant` section into `BENCH_serving.json`, keeping the other
+//! serving benches' sections.  Three measurements:
 //!
 //! * **Hot-swap latency** — `ModelCatalog::install_checkpoint` end to end
 //!   (build a fresh backend from the tenant factory, load the checkpoint,
@@ -237,7 +237,7 @@ fn main() {
     );
     let _ = std::fs::remove_file(&ckpt);
 
-    // --- Extend BENCH_serving.json with the multi_tenant section. ---
+    // --- Merge the multi_tenant section into BENCH_serving.json. ---
     let mut section = String::from("{\n");
     let _ = writeln!(section, "    \"cpus\": {cpus},");
     let _ = writeln!(section, "    \"hot_swap\": {{");
@@ -264,7 +264,7 @@ fn main() {
 
     let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
     let path = format!("{out_dir}/BENCH_serving.json");
-    merge_multi_tenant_section(&path, &section);
+    bench::merge_json_sections(&path, &[("multi_tenant", section)]);
     println!("merged multi_tenant section into {path}");
 
     if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {
@@ -281,27 +281,4 @@ fn main() {
         );
         println!("check mode: multi-tenant floors hold (isolation >= 0.3, live swaps > 0, 4-session agg >= 1.5x)");
     }
-}
-
-/// Splice the `multi_tenant` section into an existing `BENCH_serving.json`
-/// (written by `serving_throughput`), replacing any previous section;
-/// writes a standalone object when the file does not exist.
-fn merge_multi_tenant_section(path: &str, section: &str) {
-    let json = match std::fs::read_to_string(path) {
-        Ok(base) => {
-            // Drop a previous multi_tenant section (idempotent re-runs),
-            // then strip the final closing brace and append.
-            let base = match base.find(",\n  \"multi_tenant\":") {
-                Some(i) => base[..i].to_string(),
-                None => {
-                    let trimmed = base.trim_end();
-                    let without = trimmed.strip_suffix('}').unwrap_or(trimmed);
-                    without.trim_end().to_string()
-                }
-            };
-            format!("{base},\n  \"multi_tenant\": {section}\n}}\n")
-        }
-        Err(_) => format!("{{\n  \"multi_tenant\": {section}\n}}\n"),
-    };
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

@@ -43,8 +43,9 @@
 //!   process).  Set `E2E_SERVING_CHECKPOINT=<path>` to persist the trained
 //!   model there and, on later runs, skip training entirely by loading it.
 //!
-//! Results go to `BENCH_serving.json` (into `E2E_BENCH_OUT` or the current
-//! directory).  With `E2E_CHECK` set, regression floors are asserted:
+//! Results are merged into `BENCH_serving.json` (in `E2E_BENCH_OUT` or the
+//! current directory), keeping the sections of the other serving benches.
+//! With `E2E_CHECK` set, regression floors are asserted:
 //! memoization speedup ≥ 3x, node-level hit rate ≥ 0.85, memoized encode
 //! ≥ 3x the fresh featurization with a bitmap-memo hit rate ≥ 0.8 and a
 //! live end-to-end `estimate_plans` measurement, ≥ 1.5x aggregate
@@ -466,58 +467,55 @@ fn main() {
         ),
     }
 
-    // --- Machine-readable trajectory record. ---
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"serving_throughput\",");
-    let _ = writeln!(json, "  \"host\": {},", bench::host_capabilities_json());
-    let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"queries\": {},", workload.len());
-    let _ = writeln!(json, "  \"rounds\": {rounds},");
-    let _ = writeln!(json, "  \"candidates_per_round\": {plans_per_round},");
-    let _ = writeln!(json, "  \"plans_per_session\": {plans_per_session},");
-    let _ = writeln!(json, "  \"nodes_per_round\": {nodes_per_round},");
-    let _ = writeln!(json, "  \"distinct_subtrees\": {distinct_subtrees},");
-    let _ = writeln!(json, "  \"memoization\": {{");
-    let _ = writeln!(json, "    \"ms_per_plan_nonmemo\": {:.6},", secs_nonmemo * 1e3 / plans_per_session as f64);
-    let _ = writeln!(json, "    \"ms_per_plan_memo\": {:.6},", secs_memo * 1e3 / plans_per_session as f64);
-    let _ = writeln!(json, "    \"speedup\": {memo_speedup:.3},");
-    let _ = writeln!(json, "    \"subtree_cache_hit_rate\": {node_hit_rate:.4},");
-    let _ = writeln!(json, "    \"lookup_hits\": {lookup_hits},");
-    let _ = writeln!(json, "    \"lookup_misses\": {lookup_misses}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"encode\": {{");
-    let _ = writeln!(json, "    \"fresh_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_encode_fresh);
-    let _ = writeln!(json, "    \"memoized_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_encode_memo);
-    let _ = writeln!(json, "    \"speedup\": {encode_speedup:.3},");
-    let _ = writeln!(json, "    \"encode_cache_hit_rate\": {encode_cache_hit_rate:.4},");
-    let _ = writeln!(json, "    \"encode_cache_entries\": {encode_cache_entries},");
-    let _ = writeln!(json, "    \"bitmap_memo_hit_rate\": {bitmap_hit_rate:.4},");
-    let _ = writeln!(json, "    \"end_to_end_plans_per_sec\": {end_to_end_plans_per_sec:.1}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"tiered\": {{");
-    let _ = writeln!(json, "    \"top_k\": {top_k},");
-    let _ = writeln!(json, "    \"escalation_fraction\": {escalation_fraction:.4},");
-    let _ = writeln!(json, "    \"quant_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_quant);
-    let _ = writeln!(json, "    \"quant_speedup_vs_f32\": {quant_speedup:.3},");
-    let _ = writeln!(json, "    \"tiered_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_tiered);
-    let _ = writeln!(json, "    \"tiered_speedup_vs_f32\": {tiered_speedup:.3}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"warm_start\": {{");
-    let _ = match cold_fit_secs {
-        Some(cold) => writeln!(json, "    \"cold_fit_secs\": {cold:.6},"),
-        None => writeln!(json, "    \"cold_fit_secs\": null,"),
+    // --- Machine-readable trajectory record: this bench's sections of
+    // BENCH_serving.json; the other serving benches' sections are kept. ---
+    let object = |write: &dyn Fn(&mut String)| {
+        let mut section = String::from("{\n");
+        write(&mut section);
+        section.push_str("  }");
+        section
     };
-    let _ = writeln!(json, "    \"checkpoint_load_secs\": {warm_load_secs:.6},");
-    let _ = match warm_speedup {
-        Some(speedup) => writeln!(json, "    \"speedup\": {speedup:.1}"),
-        None => writeln!(json, "    \"speedup\": null"),
-    };
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"threads\": [");
+    let memoization = object(&|json| {
+        let _ = writeln!(json, "    \"ms_per_plan_nonmemo\": {:.6},", secs_nonmemo * 1e3 / plans_per_session as f64);
+        let _ = writeln!(json, "    \"ms_per_plan_memo\": {:.6},", secs_memo * 1e3 / plans_per_session as f64);
+        let _ = writeln!(json, "    \"speedup\": {memo_speedup:.3},");
+        let _ = writeln!(json, "    \"subtree_cache_hit_rate\": {node_hit_rate:.4},");
+        let _ = writeln!(json, "    \"lookup_hits\": {lookup_hits},");
+        let _ = writeln!(json, "    \"lookup_misses\": {lookup_misses}");
+    });
+    let encode = object(&|json| {
+        let _ = writeln!(json, "    \"fresh_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_encode_fresh);
+        let _ = writeln!(json, "    \"memoized_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_encode_memo);
+        let _ = writeln!(json, "    \"speedup\": {encode_speedup:.3},");
+        let _ = writeln!(json, "    \"encode_cache_hit_rate\": {encode_cache_hit_rate:.4},");
+        let _ = writeln!(json, "    \"encode_cache_entries\": {encode_cache_entries},");
+        let _ = writeln!(json, "    \"bitmap_memo_hit_rate\": {bitmap_hit_rate:.4},");
+        let _ = writeln!(json, "    \"end_to_end_plans_per_sec\": {end_to_end_plans_per_sec:.1}");
+    });
+    let tiered = object(&|json| {
+        let _ = writeln!(json, "    \"top_k\": {top_k},");
+        let _ = writeln!(json, "    \"escalation_fraction\": {escalation_fraction:.4},");
+        let _ = writeln!(json, "    \"quant_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_quant);
+        let _ = writeln!(json, "    \"quant_speedup_vs_f32\": {quant_speedup:.3},");
+        let _ = writeln!(json, "    \"tiered_plans_per_sec\": {:.1},", plans_per_session as f64 / secs_tiered);
+        let _ = writeln!(json, "    \"tiered_speedup_vs_f32\": {tiered_speedup:.3}");
+    });
+    let warm_start = object(&|json| {
+        let _ = match cold_fit_secs {
+            Some(cold) => writeln!(json, "    \"cold_fit_secs\": {cold:.6},"),
+            None => writeln!(json, "    \"cold_fit_secs\": null,"),
+        };
+        let _ = writeln!(json, "    \"checkpoint_load_secs\": {warm_load_secs:.6},");
+        let _ = match warm_speedup {
+            Some(speedup) => writeln!(json, "    \"speedup\": {speedup:.1}"),
+            None => writeln!(json, "    \"speedup\": null"),
+        };
+    });
+    let mut threads = String::from("[\n");
     for (i, r) in thread_rows.iter().enumerate() {
         let comma = if i + 1 < thread_rows.len() { "," } else { "" };
         let _ = writeln!(
-            json,
+            threads,
             "    {{ \"threads\": {}, \"aggregate_plans_per_sec\": {:.1}, \"speedup_vs_1\": {:.3}, \
              \"scaling_efficiency\": {:.3} }}{comma}",
             r.threads,
@@ -526,37 +524,55 @@ fn main() {
             r.speedup_vs_1 / r.threads as f64
         );
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"worker_runtime\": {{");
-    let _ = writeln!(json, "    \"split_threshold\": {split_threshold},");
-    let _ = writeln!(json, "    \"largest_wave\": {largest_wave},");
-    let _ = writeln!(json, "    \"pools\": [");
-    for (i, r) in worker_rows.iter().enumerate() {
-        let comma = if i + 1 < worker_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{ \"workers\": {}, \"pinned\": {}, \"aggregate_plans_per_sec\": {:.1}, \
-             \"speedup_vs_1\": {:.3}, \"scaling_efficiency\": {:.3}, \"chunks_executed\": {}, \
-             \"chunks_stolen\": {}, \"waves\": {}, \"waves_split\": {} }}{comma}",
-            r.workers,
-            r.pinned,
-            r.aggregate_plans_per_sec,
-            r.speedup_vs_1,
-            r.speedup_vs_1 / r.workers as f64,
-            r.chunks_executed,
-            r.chunks_stolen,
-            r.waves,
-            r.waves_split
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
+    threads.push_str("  ]");
+    let worker_runtime = object(&|json| {
+        let _ = writeln!(json, "    \"split_threshold\": {split_threshold},");
+        let _ = writeln!(json, "    \"largest_wave\": {largest_wave},");
+        let _ = writeln!(json, "    \"pools\": [");
+        for (i, r) in worker_rows.iter().enumerate() {
+            let comma = if i + 1 < worker_rows.len() { "," } else { "" };
+            let _ = writeln!(
+                json,
+                "      {{ \"workers\": {}, \"pinned\": {}, \"aggregate_plans_per_sec\": {:.1}, \
+                 \"speedup_vs_1\": {:.3}, \"scaling_efficiency\": {:.3}, \"chunks_executed\": {}, \
+                 \"chunks_stolen\": {}, \"waves\": {}, \"waves_split\": {} }}{comma}",
+                r.workers,
+                r.pinned,
+                r.aggregate_plans_per_sec,
+                r.speedup_vs_1,
+                r.speedup_vs_1 / r.workers as f64,
+                r.chunks_executed,
+                r.chunks_stolen,
+                r.waves,
+                r.waves_split
+            );
+        }
+        let _ = writeln!(json, "    ]");
+    });
 
     let out_dir = std::env::var("E2E_BENCH_OUT").unwrap_or_else(|_| ".".to_string());
     let path = format!("{out_dir}/BENCH_serving.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
+    bench::merge_json_sections(
+        &path,
+        &[
+            ("bench", "\"serving_throughput\"".to_string()),
+            ("host", bench::host_capabilities_json()),
+            ("cpus", cpus.to_string()),
+            ("queries", workload.len().to_string()),
+            ("rounds", rounds.to_string()),
+            ("candidates_per_round", plans_per_round.to_string()),
+            ("plans_per_session", plans_per_session.to_string()),
+            ("nodes_per_round", nodes_per_round.to_string()),
+            ("distinct_subtrees", distinct_subtrees.to_string()),
+            ("memoization", memoization),
+            ("encode", encode),
+            ("tiered", tiered),
+            ("warm_start", warm_start),
+            ("threads", threads),
+            ("worker_runtime", worker_runtime),
+        ],
+    );
+    println!("merged the serving_throughput sections into {path}");
 
     // Check mode (CI smoke): fail loudly when the serving floors regress.
     if matches!(std::env::var("E2E_CHECK").as_deref(), Ok(v) if !v.is_empty() && v != "0") {

@@ -18,8 +18,10 @@ use std::sync::Arc;
 use strembed::{build_string_encoder, EmbedderConfig, HashBitmapEncoder, StringEncoding};
 use workloads::{workload_strings, QuerySample, SuiteConfig, WorkloadKind, WorkloadSuite};
 
+pub mod artifact;
 pub mod registry;
 
+pub use artifact::merge_json_sections;
 pub use registry::{run_backend, BackendRun, EstimatorRegistry};
 
 /// Best-of-`reps` wall time of `f`: one untimed warmup call first (page

@@ -7,7 +7,9 @@
 //! cardinality)` of new physical plans.
 
 use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
-use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_memo_quant, estimate_batch_quant};
+use crate::batch::{
+    estimate_batch, estimate_batch_memo, estimate_batch_memo_quant, estimate_batch_quant, estimate_plans_memo,
+};
 use crate::checkpoint;
 use crate::memory::{EncodedSubtreeCache, RepresentationMemoryPool, SubtreeStateCache};
 use crate::model::{ModelConfig, TaskMode, TreeModel};
@@ -484,14 +486,8 @@ impl Estimator for CostEstimator {
         if plans.is_empty() {
             return Vec::new();
         }
-        // Memoized on both ends: featurization deduplicates shared subtrees
-        // through the encode cache (bit-identical to fresh `encode`), and
-        // inference memoizes subtree states — trait-driven serving (catalog
-        // sessions, coalesced admission batches) shares both across calls.
-        let encoded = self.encode_plans(plans);
-        let refs: Vec<&EncodedPlan> = encoded.iter().map(|a| a.as_ref()).collect();
         self.serving()
-            .estimate_encoded_batch(&refs)
+            .estimate_plans(plans)
             .into_iter()
             .map(|(cost, card)| PlanEstimate {
                 cost: caps.cost.then_some(cost),
@@ -551,16 +547,15 @@ pub struct ServingEstimator {
 }
 
 impl ServingEstimator {
-    /// The end-to-end front door: encode a batch of **raw plans** through
-    /// the shared encode cache (each distinct subtree featurized once,
-    /// bit-identical to fresh encoding) and score them through the memoized
-    /// batch path; `(cost, cardinality)` per plan, in input order.  This is
-    /// the one-call form of `encode_plans` + `estimate_encoded_batch` an
-    /// optimizer loop wants.
+    /// The end-to-end front door: score a batch of **raw plans** state
+    /// first (`batch::estimate_plans_memo`) — every sub-plan is looked up
+    /// in the subtree-state cache by signature before anything is
+    /// featurized, and only the nodes that miss are encoded.  This path
+    /// uses the subtree states and the extractor's bitmap memo, never the
+    /// encode cache.  `(cost, cardinality)` per plan, in input order,
+    /// bit-identical to `encode_plans` + `estimate_encoded_batch`.
     pub fn estimate_plans(&self, plans: &[PlanNode]) -> Vec<(f64, f64)> {
-        let encoded = self.encode_plans(plans);
-        let refs: Vec<&EncodedPlan> = encoded.iter().map(|a| a.as_ref()).collect();
-        self.estimate_encoded_batch(&refs)
+        estimate_plans_memo(&self.model, &self.model.params, &self.normalization, &self.extractor, plans, &self.cache)
     }
 
     /// Encode a batch of raw plans through the handle's shared encode
@@ -787,6 +782,83 @@ mod tests {
         // Re-fitting invalidates the cached states.
         est.fit(&plans);
         assert!(est.subtree_cache().is_empty());
+    }
+
+    /// DP candidates of a few generated queries: un-annotated raw plans
+    /// sharing most of their subtrees.
+    fn enumeration_stream(db: &imdb::Database) -> Vec<PlanNode> {
+        let workload = workloads::generate_enumeration_workload(
+            db,
+            workloads::EnumerationConfig {
+                num_queries: 4,
+                min_joins: 1,
+                max_joins: 3,
+                max_candidates_per_query: 16,
+                seed: 5,
+            },
+        );
+        workload.into_iter().flat_map(|s| s.candidates).collect()
+    }
+
+    #[test]
+    fn raw_and_encoded_calls_interleave_on_one_handle() {
+        let (mut est, db) = make_estimator();
+        est.fit(&executed_plans(&db, 12));
+        let stream = enumeration_stream(&db);
+        let fresh: Vec<EncodedPlan> = stream.iter().map(|p| est.encode(p)).collect();
+        let want = bits(&est.estimate_encoded_batch(&fresh));
+
+        // Both front doors share the handle's subtree-state cache; each
+        // call must serve the fresh estimates whatever the other memoized.
+        let serving = est.serving();
+        let half = stream.len() / 2;
+        assert_eq!(bits(&serving.estimate_plans(&stream[..half])), want[..half]);
+        let encoded = serving.encode_plans(&stream);
+        let refs: Vec<&EncodedPlan> = encoded.iter().map(|a| a.as_ref()).collect();
+        assert_eq!(bits(&serving.estimate_encoded_batch(&refs)), want);
+        assert_eq!(bits(&serving.estimate_plans(&stream)), want);
+        assert_eq!(bits(&serving.estimate_encoded_batch(&refs[half..])), want[half..]);
+        // The trait front door takes the same raw path.
+        let caps = est.estimate_many(&stream);
+        let many: Vec<(u64, u64)> =
+            caps.iter().map(|e| (e.cost.expect("cost").to_bits(), e.cardinality.expect("card").to_bits())).collect();
+        assert_eq!(many, want);
+        // The raw path never featurizes through the encode cache: only the
+        // explicit `encode_plans` call above probed it.
+        let (hits, misses) = serving.encode_cache().stats();
+        assert_eq!(hits + misses, stream.iter().map(|p| p.size() as u64).sum::<u64>());
+    }
+
+    #[test]
+    fn raw_plan_serving_across_threads_keeps_exact_node_accounting() {
+        const THREADS: usize = 4;
+        const CALLS: usize = 3;
+        let (mut est, db) = make_estimator();
+        est.fit(&executed_plans(&db, 12));
+        let stream = enumeration_stream(&db);
+        let fresh: Vec<EncodedPlan> = stream.iter().map(|p| est.encode(p)).collect();
+        let want = bits(&est.estimate_encoded_batch(&fresh));
+        let distinct: std::collections::HashSet<u64> =
+            stream.iter().flat_map(|p| p.nodes_preorder()).map(|n| n.signature_hash()).collect();
+
+        let serving = est.serving();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for _ in 0..CALLS {
+                        assert_eq!(bits(&serving.estimate_plans(&stream)), want);
+                    }
+                });
+            }
+        });
+        // Every submitted node is counted exactly once, hit or computed;
+        // every distinct subtree was computed at least once and, racing
+        // threads aside, at most once per thread.
+        let (seen, computed) = serving.cache().node_stats();
+        let plan_nodes: u64 = stream.iter().map(|p| p.size() as u64).sum();
+        assert_eq!(seen, (THREADS * CALLS) as u64 * plan_nodes);
+        assert!(computed >= distinct.len() as u64, "{computed} computed < {} distinct subtrees", distinct.len());
+        assert!(computed <= (THREADS * distinct.len()) as u64, "{computed} computed: states were recomputed");
     }
 
     #[test]

@@ -35,13 +35,18 @@
 //! implementation as a correctness oracle and as the "pre-optimization
 //! batched path" baseline of the Table-12 efficiency bench.
 
-use crate::memory::{SubtreeState, SubtreeStateCache};
+use crate::memory::{IdentityHasher, SubtreeState, SubtreeStateCache};
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
-use featurize::EncodedPlan;
+use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
 use nn::{Graph, NodeId, ParamStore, QuantWeights};
+use query::PlanNode;
 use rayon::prelude::*;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::sync::Arc;
 
 /// Plans per parallel group.  Large enough that the per-level matrices fill
 /// the blocked-matmul tiles and the per-level tape overhead amortizes,
@@ -279,61 +284,160 @@ pub fn forward_batch_q(
     model.estimate_from_representation_q(g, store, quant, r_batch)
 }
 
-/// Flattened view of one node in a memoized batch: either a fresh node to
-/// embed (like [`FlatNode`]) or the root of a memoized subtree whose cached
-/// `(G, R)` state is injected instead of recursing into its children.
+/// A node of a memoized batch: a fresh node to embed — its features
+/// borrowed from an [`EncodedPlan`] or, on the raw-plan path, encoded on
+/// the spot — or the root of a memoized subtree whose cached `(G, R)` state
+/// is injected instead of recursing into its children.
+enum MemoSlot<'a> {
+    Fresh(Cow<'a, NodeFeatures>),
+    Cached(Arc<SubtreeState>),
+}
+
 struct MemoFlatNode<'a> {
     height: usize,
     children: Vec<usize>,
-    encoded: &'a EncodedPlan,
-    cached: Option<std::sync::Arc<SubtreeState>>,
+    slot: MemoSlot<'a>,
     signature: u64,
 }
 
-/// Flatten `plan` into `out`, pruning at memoized subtrees and deduplicating
-/// by signature within the batch (`seen`): a DP enumeration's candidates
-/// share almost all of their subtrees, and each distinct subtree must enter
-/// the level-batched forward exactly once.  Returns `(flat index, height)`
-/// and counts, for the cache's node-level serving stats, how many plan nodes
-/// were submitted (`seen_nodes`) vs. will actually be embedded (`computed`).
-fn flatten_memo<'a>(
-    plan: &'a EncodedPlan,
-    cache: &SubtreeStateCache,
-    dedup: &mut std::collections::HashMap<u64, usize>,
-    out: &mut Vec<MemoFlatNode<'a>>,
-    seen_nodes: &mut u64,
-    computed: &mut u64,
-) -> (usize, usize) {
-    let signature = plan.signature;
-    if let Some(&idx) = dedup.get(&signature) {
-        // Already flattened for another candidate in this batch: the whole
-        // subtree is served by the shared flat node.
-        *seen_nodes += plan.size() as u64;
-        return (idx, out[idx].height);
+/// A plan tree the memoized flatten walks top-down: an already-encoded
+/// plan, or a raw plan whose signatures a [`signature_pass`] computed.
+trait MemoTree<'a>: Copy {
+    /// Structural signature of the subtree rooted here.
+    fn signature(self) -> u64;
+    /// Number of plan nodes in the subtree.
+    fn size(self) -> usize;
+    fn children(self) -> impl Iterator<Item = Self>;
+    /// The node's features; only called for nodes that must be embedded.
+    fn features(self) -> Cow<'a, NodeFeatures>;
+}
+
+impl<'a> MemoTree<'a> for &'a EncodedPlan {
+    fn signature(self) -> u64 {
+        self.signature
     }
-    if let Some(state) = cache.get(signature) {
-        let idx = out.len();
-        out.push(MemoFlatNode { height: 1, children: Vec::new(), encoded: plan, cached: Some(state), signature });
-        dedup.insert(signature, idx);
-        *seen_nodes += plan.size() as u64;
-        return (idx, 1);
+
+    fn size(self) -> usize {
+        EncodedPlan::size(self)
     }
-    *seen_nodes += 1;
-    *computed += 1;
-    let my_idx = out.len();
-    out.push(MemoFlatNode { height: 1, children: Vec::new(), encoded: plan, cached: None, signature });
-    dedup.insert(signature, my_idx);
-    let mut child_ids = Vec::new();
-    let mut max_child_height = 0;
-    for c in &plan.children {
-        let (cid, ch) = flatten_memo(c, cache, dedup, out, seen_nodes, computed);
-        child_ids.push(cid);
-        max_child_height = max_child_height.max(ch);
+
+    fn children(self) -> impl Iterator<Item = Self> {
+        self.children.iter().map(|c| c.as_ref())
     }
-    let height = 1 + max_child_height;
-    out[my_idx].children = child_ids;
-    out[my_idx].height = height;
-    (my_idx, height)
+
+    fn features(self) -> Cow<'a, NodeFeatures> {
+        Cow::Borrowed(&self.features)
+    }
+}
+
+/// A raw plan node plus its pre-order position in the signature buffer
+/// of [`signature_pass`].
+#[derive(Clone, Copy)]
+struct RawNode<'a> {
+    plan: &'a PlanNode,
+    at: usize,
+    sigs: &'a [(u64, usize)],
+    extractor: &'a FeatureExtractor,
+}
+
+impl<'a> MemoTree<'a> for RawNode<'a> {
+    fn signature(self) -> u64 {
+        self.sigs[self.at].0
+    }
+
+    fn size(self) -> usize {
+        self.sigs[self.at].1
+    }
+
+    fn children(self) -> impl Iterator<Item = Self> {
+        // In pre-order a node's first child follows it, and each further
+        // child follows its elder sibling's whole subtree.
+        self.plan.children.iter().scan(self.at + 1, move |next, plan| {
+            let at = *next;
+            *next += self.sigs[at].1;
+            Some(RawNode { plan, at, ..self })
+        })
+    }
+
+    fn features(self) -> Cow<'a, NodeFeatures> {
+        Cow::Owned(self.extractor.encode_node(self.plan))
+    }
+}
+
+/// Append `(signature, subtree size)` of every node of `plan` to `out` in
+/// pre-order, composing each signature from its children's exactly as
+/// [`FeatureExtractor::encode_plan`] does; returns the root's signature.
+fn signature_pass(plan: &PlanNode, out: &mut Vec<(u64, usize)>) -> u64 {
+    let at = out.len();
+    out.push((0, 0));
+    let signature = plan.signature_hash_from_children(plan.children.iter().map(|c| signature_pass(c, out)));
+    out[at] = (signature, out.len() - at);
+    signature
+}
+
+/// A flattened memoized batch, built top-down: every sub-plan is probed in
+/// the in-batch dedup map and then in the [`SubtreeStateCache`] by its
+/// signature before anything below it is looked at, so a hit costs one
+/// probe however large the subtree.
+#[derive(Default)]
+struct MemoBatch<'a> {
+    flat: Vec<MemoFlatNode<'a>>,
+    dedup: HashMap<u64, usize, BuildHasherDefault<IdentityHasher>>,
+    roots: Vec<usize>,
+    max_height: usize,
+    /// Plan nodes submitted vs. nodes that will be embedded fresh, for the
+    /// cache's node-level serving stats.
+    seen_nodes: u64,
+    computed: u64,
+}
+
+impl<'a> MemoBatch<'a> {
+    fn push_plan<T: MemoTree<'a>>(&mut self, plan: T, cache: &SubtreeStateCache) {
+        let (root, height) = self.flatten(plan, cache);
+        self.roots.push(root);
+        self.max_height = self.max_height.max(height);
+    }
+
+    /// Flatten `node`, pruning at memoized subtrees and deduplicating by
+    /// signature within the batch: a DP enumeration's candidates share
+    /// almost all of their subtrees, and each distinct subtree must enter
+    /// the level-batched forward exactly once.  Returns `(flat index,
+    /// height)`.
+    fn flatten<T: MemoTree<'a>>(&mut self, node: T, cache: &SubtreeStateCache) -> (usize, usize) {
+        let signature = node.signature();
+        if let Some(&idx) = self.dedup.get(&signature) {
+            // Already flattened for another candidate in this batch: the
+            // whole subtree is served by the shared flat node.
+            self.seen_nodes += node.size() as u64;
+            return (idx, self.flat[idx].height);
+        }
+        let idx = self.flat.len();
+        self.dedup.insert(signature, idx);
+        if let Some(state) = cache.get(signature) {
+            self.flat.push(MemoFlatNode { height: 1, children: Vec::new(), slot: MemoSlot::Cached(state), signature });
+            self.seen_nodes += node.size() as u64;
+            return (idx, 1);
+        }
+        self.seen_nodes += 1;
+        self.computed += 1;
+        self.flat.push(MemoFlatNode {
+            height: 1,
+            children: Vec::new(),
+            slot: MemoSlot::Fresh(node.features()),
+            signature,
+        });
+        let mut children = Vec::new();
+        let mut max_child_height = 0;
+        for c in node.children() {
+            let (cid, ch) = self.flatten(c, cache);
+            children.push(cid);
+            max_child_height = max_child_height.max(ch);
+        }
+        let height = 1 + max_child_height;
+        self.flat[idx].children = children;
+        self.flat[idx].height = height;
+        (idx, height)
+    }
 }
 
 /// [`forward_batch`] with subtree memoization — the serving-layer forward of
@@ -380,32 +484,47 @@ pub fn forward_batch_memo_q(
     plans: &[&EncodedPlan],
     cache: &SubtreeStateCache,
 ) -> (NodeId, NodeId) {
-    assert!(!plans.is_empty(), "forward_batch_memo needs at least one plan");
-    let hidden = model.config.hidden_dim;
-    let mut flat: Vec<MemoFlatNode> = Vec::new();
-    let mut dedup = std::collections::HashMap::new();
-    let mut roots = Vec::with_capacity(plans.len());
-    let mut max_height = 1;
-    let (mut seen_nodes, mut computed) = (0u64, 0u64);
-    for p in plans {
-        let (root_idx, h) = flatten_memo(p, cache, &mut dedup, &mut flat, &mut seen_nodes, &mut computed);
-        roots.push(root_idx);
-        max_height = max_height.max(h);
+    let mut batch = MemoBatch::default();
+    for &p in plans {
+        batch.push_plan(p, cache);
     }
-    cache.record_nodes(seen_nodes, computed);
+    forward_memo(model, store, quant, g, &batch, cache)
+}
+
+/// The level-batched forward over a flattened memoized batch, shared by
+/// the encoded-plan and raw-plan paths.
+///
+/// # Panics
+/// Panics if the batch holds no plan.
+fn forward_memo(
+    model: &TreeModel,
+    store: &ParamStore,
+    quant: Option<&QuantWeights>,
+    g: &mut Graph,
+    batch: &MemoBatch,
+    cache: &SubtreeStateCache,
+) -> (NodeId, NodeId) {
+    assert!(!batch.roots.is_empty(), "forward_batch_memo needs at least one plan");
+    let hidden = model.config.hidden_dim;
+    let flat = &batch.flat;
+    cache.record_nodes(batch.seen_nodes, batch.computed);
 
     // Cache-hit states re-enter the tape as two batched input columns.
     let mut states: Vec<Option<StateRef>> = vec![None; flat.len()];
-    let cached_nodes: Vec<usize> =
-        flat.iter().enumerate().filter(|(_, n)| n.cached.is_some()).map(|(i, _)| i).collect();
-    if !cached_nodes.is_empty() {
-        let g_cols: Vec<&[f32]> =
-            cached_nodes.iter().map(|&i| flat[i].cached.as_ref().expect("cached").g.as_slice()).collect();
-        let r_cols: Vec<&[f32]> =
-            cached_nodes.iter().map(|&i| flat[i].cached.as_ref().expect("cached").r.as_slice()).collect();
+    let cached: Vec<(usize, &SubtreeState)> = flat
+        .iter()
+        .enumerate()
+        .filter_map(|(i, n)| match &n.slot {
+            MemoSlot::Cached(state) => Some((i, state.as_ref())),
+            MemoSlot::Fresh(_) => None,
+        })
+        .collect();
+    if !cached.is_empty() {
+        let g_cols: Vec<&[f32]> = cached.iter().map(|(_, s)| s.g.as_slice()).collect();
+        let r_cols: Vec<&[f32]> = cached.iter().map(|(_, s)| s.r.as_slice()).collect();
         let inj_g = g.input_columns(hidden, &g_cols);
         let inj_r = g.input_columns(hidden, &r_cols);
-        for (col, &i) in cached_nodes.iter().enumerate() {
+        for (col, &(i, _)) in cached.iter().enumerate() {
             states[i] = Some(StateRef { g: (inj_g, col), r: (inj_r, col) });
         }
     }
@@ -413,20 +532,29 @@ pub fn forward_batch_memo_q(
     // Level-batched forward over the fresh fringe, exactly as in
     // `forward_batch`, with one extra step per level: extract the new state
     // columns off the tape and memoize them.
-    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); max_height];
+    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); batch.max_height];
     for (i, n) in flat.iter().enumerate() {
-        if n.cached.is_none() {
+        if let MemoSlot::Fresh(_) = n.slot {
             levels[n.height - 1].push(i);
         }
     }
-    let zero = model.zero_state_batch(g, 1);
-    let zero_ref = StateRef { g: (zero.g, 0), r: (zero.r, 0) };
+    let zero_ref = (cached.len() < flat.len()).then(|| {
+        let zero = model.zero_state_batch(g, 1);
+        StateRef { g: (zero.g, 0), r: (zero.r, 0) }
+    });
 
     for level_nodes in &levels {
         if level_nodes.is_empty() {
             continue;
         }
-        let feats: Vec<&featurize::NodeFeatures> = level_nodes.iter().map(|&i| &flat[i].encoded.features).collect();
+        let zero_ref = zero_ref.expect("fresh nodes imply a zero state");
+        let feats: Vec<&NodeFeatures> = level_nodes
+            .iter()
+            .map(|&i| match &flat[i].slot {
+                MemoSlot::Fresh(f) => f.as_ref(),
+                MemoSlot::Cached(_) => unreachable!("levels hold fresh nodes only"),
+            })
+            .collect();
         let x_batch = model.embed_nodes_batch_q(g, store, quant, &feats);
 
         let mut left_g = Vec::with_capacity(level_nodes.len());
@@ -452,11 +580,12 @@ pub fn forward_batch_memo_q(
             let mut sr = Vec::with_capacity(hidden);
             g.extract_column(out.g, col, &mut sg);
             g.extract_column(out.r, col, &mut sr);
-            cache.insert(flat[i].signature, std::sync::Arc::new(SubtreeState { g: sg, r: sr }));
+            cache.insert(flat[i].signature, Arc::new(SubtreeState { g: sg, r: sr }));
         }
     }
 
-    let root_rs: Vec<(NodeId, usize)> = roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
+    let root_rs: Vec<(NodeId, usize)> =
+        batch.roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
     let r_batch = g.gather_cols(&root_rs);
     model.estimate_from_representation_q(g, store, quant, r_batch)
 }
@@ -480,6 +609,52 @@ pub fn estimate_batch_memo(
     for chunk in plans.chunks(GROUP_SIZE) {
         out.extend(with_inference_tape(|g| {
             let (cost_out, card_out) = forward_batch_memo(model, store, g, chunk, cache);
+            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
+        }));
+    }
+    out
+}
+
+/// State-first memoized estimation of **raw plans** — the serving front
+/// door of the optimizer loop.
+///
+/// One post-order pass per candidate computes every node's structural
+/// signature ([`PlanNode::signature_hash_from_children`], the composition
+/// [`FeatureExtractor::encode_plan`] uses) into a scratch buffer reused
+/// across chunks; the memoized flatten then probes the in-batch dedup map
+/// and `cache` top-down by those signatures, and only the nodes that miss
+/// both are featurized ([`FeatureExtractor::encode_node`]).  A warm round
+/// therefore hashes each candidate once and featurizes nothing.
+///
+/// Bit-identical to a fresh [`FeatureExtractor::encode_plan`] scored by
+/// [`estimate_batch`]: states are keyed by the same signatures and fringe
+/// features come from the same `encode_node`.  Chunks of [`GROUP_SIZE`]
+/// plans run sequentially on the calling thread, as in
+/// [`estimate_batch_memo`].
+pub(crate) fn estimate_plans_memo(
+    model: &TreeModel,
+    store: &ParamStore,
+    normalization: &TargetNormalization,
+    extractor: &FeatureExtractor,
+    plans: &[PlanNode],
+    cache: &SubtreeStateCache,
+) -> Vec<(f64, f64)> {
+    let mut out = Vec::with_capacity(plans.len());
+    let mut sigs: Vec<(u64, usize)> = Vec::new();
+    let mut starts: Vec<usize> = Vec::with_capacity(GROUP_SIZE.min(plans.len()));
+    for chunk in plans.chunks(GROUP_SIZE) {
+        sigs.clear();
+        starts.clear();
+        for plan in chunk {
+            starts.push(sigs.len());
+            signature_pass(plan, &mut sigs);
+        }
+        let mut batch = MemoBatch::default();
+        for (plan, &at) in chunk.iter().zip(&starts) {
+            batch.push_plan(RawNode { plan, at, sigs: &sigs, extractor }, cache);
+        }
+        out.extend(with_inference_tape(|g| {
+            let (cost_out, card_out) = forward_memo(model, store, None, g, &batch, cache);
             denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
         }));
     }
@@ -654,7 +829,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{ModelConfig, TreeModel};
+    use crate::model::{ModelConfig, PredicateModelKind, TreeModel};
     use crate::trainer::{TrainConfig, Trainer};
     use featurize::{EncodingConfig, FeatureExtractor};
     use imdb::{generate_imdb, GeneratorConfig};
@@ -876,6 +1051,44 @@ mod tests {
     }
 
     #[test]
+    fn inference_tape_pool_stays_flat_across_identical_passes() {
+        // Every input of an inference pass — zero states, feature stacks,
+        // predicate atoms, injected states — is drawn from the tape's buffer
+        // pool, so a reused tape returns exactly what each pass took.
+        let (plans, cfg) = samples(6);
+        let refs: Vec<&EncodedPlan> = plans.iter().collect();
+        for predicate in [PredicateModelKind::MinMaxPool, PredicateModelKind::TreeLstm] {
+            let model = TreeModel::new(
+                &cfg,
+                ModelConfig {
+                    feature_embed_dim: 8,
+                    hidden_dim: 12,
+                    estimation_hidden_dim: 8,
+                    predicate,
+                    ..Default::default()
+                },
+            );
+            let cache = crate::memory::SubtreeStateCache::new();
+            let mut g = Graph::inference();
+            let pass = |g: &mut Graph| {
+                g.reset();
+                forward_batch(&model, &model.params, g, &refs);
+                g.reset();
+                forward_batch_memo(&model, &model.params, g, &refs, &cache);
+                g.reset();
+            };
+            for _ in 0..3 {
+                pass(&mut g);
+            }
+            let warm = g.pooled_buffers();
+            for _ in 0..1000 {
+                pass(&mut g);
+            }
+            assert_eq!(g.pooled_buffers(), warm, "{predicate:?}: the tape's buffer pool grew across identical passes");
+        }
+    }
+
+    #[test]
     fn empty_batch_returns_empty() {
         let (plans, cfg) = samples(2);
         let model = TreeModel::new(&cfg, ModelConfig::default());
@@ -959,6 +1172,45 @@ mod tests {
                         estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &[plan], &cache);
                     prop_assert_eq!(&single[0], expected);
                 }
+
+                // The state-first raw-plan path against the same fresh
+                // reference: cold and warm cache.
+                let candidates = &workload[0].candidates;
+                let raw = |plans: &[PlanNode], cache: &SubtreeStateCache| {
+                    estimate_plans_memo(&t.model, &t.model.params, &t.normalization, &fixture.fx, plans, cache)
+                };
+                let raw_cache = SubtreeStateCache::new();
+                prop_assert_eq!(&raw(candidates, &raw_cache), &fresh);
+                prop_assert_eq!(&raw(candidates, &raw_cache), &fresh);
+                // A one-state-per-shard cache evicts while the batch is
+                // being inserted; eviction can only cost recomputation.
+                let tiny = SubtreeStateCache::with_shard_capacity(1);
+                prop_assert_eq!(&raw(candidates, &tiny), &fresh);
+                prop_assert_eq!(&raw(candidates, &tiny), &fresh);
+                // Whole-plan duplicates within one batch, and annotated
+                // twins of un-annotated candidates: annotations change no
+                // feature, so twins share states and estimates.
+                let mut annotated = candidates.clone();
+                for plan in &mut annotated {
+                    engine::execute_plan(&fixture.db, plan, &engine::CostModel::default());
+                }
+                let twins: Vec<PlanNode> = candidates.iter().chain(&annotated).chain(candidates).cloned().collect();
+                let twin_fresh: Vec<EncodedPlan> = twins.iter().map(|p| fixture.fx.encode_plan(p)).collect();
+                let twin_expected = estimate_batch(&t.model, &t.model.params, &t.normalization, &twin_fresh);
+                prop_assert_eq!(&raw(&twins, &SubtreeStateCache::new()), &twin_expected);
+                // More plans than GROUP_SIZE: later chunks are served from
+                // the states earlier chunks memoized.
+                let big: Vec<PlanNode> = candidates.iter().cycle().take(GROUP_SIZE + 3).cloned().collect();
+                let big_expected: Vec<(f64, f64)> = fresh.iter().cycle().take(big.len()).copied().collect();
+                prop_assert_eq!(&raw(&big, &SubtreeStateCache::new()), &big_expected);
+                // Raw and encoded calls interleaved on one cache.
+                let shared = SubtreeStateCache::new();
+                let half = candidates.len() / 2;
+                prop_assert_eq!(&raw(&candidates[..half], &shared)[..], &fresh[..half]);
+                let encoded_all =
+                    estimate_batch_memo(&t.model, &t.model.params, &t.normalization, &refs, &shared);
+                prop_assert_eq!(&encoded_all, &fresh);
+                prop_assert_eq!(&raw(candidates, &shared), &fresh);
             }
         }
     }

@@ -286,6 +286,11 @@ impl SubtreeStateCache {
         Self::default()
     }
 
+    /// An empty cache bounded to `max_per_shard` states per shard.
+    pub fn with_shard_capacity(max_per_shard: usize) -> Self {
+        SubtreeStateCache { cache: ShardedCache::with_shard_capacity(max_per_shard), ..Self::default() }
+    }
+
     /// Look up a subtree state.
     pub fn get(&self, signature: u64) -> Option<Arc<SubtreeState>> {
         self.cache.get(signature)

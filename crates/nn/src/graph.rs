@@ -203,9 +203,33 @@ impl Graph {
         self.nodes[id.0].grad.as_ref()
     }
 
-    /// Record a constant input.
+    /// Record a constant input.  The matrix joins the buffer pool on the
+    /// next [`Graph::reset`], so a reused tape should build its inputs with
+    /// [`Graph::input_zeros_with`] instead: a caller-allocated input grows
+    /// the pool by one buffer per pass.
     pub fn input(&mut self, value: Matrix) -> NodeId {
         self.push(value, Op::Input)
+    }
+
+    /// Record a `rows x cols` zero input drawn from the buffer pool.
+    pub fn input_zeros(&mut self, rows: usize, cols: usize) -> NodeId {
+        self.input_zeros_with(rows, cols, |_| {})
+    }
+
+    /// Record a `rows x cols` input drawn from the buffer pool, zero-filled
+    /// and then written in place by `fill` (e.g. a column-stacked feature
+    /// batch).  A pass built only from pooled inputs returns to the pool
+    /// exactly the buffers it took, so a reused tape stops growing.
+    pub fn input_zeros_with(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut Matrix)) -> NodeId {
+        let mut value = self.alloc(rows, cols);
+        value.data_mut().fill(0.0);
+        fill(&mut value);
+        self.push(value, Op::Input)
+    }
+
+    /// Number of recycled buffers the tape holds for its next pass.
+    pub fn pooled_buffers(&self) -> usize {
+        self.pool.len()
     }
 
     /// Record (a copy of) a trainable parameter.  Repeated requests for the

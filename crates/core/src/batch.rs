@@ -466,29 +466,11 @@ pub fn forward_batch_memo(
     plans: &[&EncodedPlan],
     cache: &SubtreeStateCache,
 ) -> (NodeId, NodeId) {
-    forward_batch_memo_q(model, store, None, g, plans, cache)
-}
-
-/// Tier-aware [`forward_batch_memo`].
-///
-/// The caller owns tier/cache separation: a quantized pass must use its own
-/// [`SubtreeStateCache`] (never the full-precision one), because the states
-/// it memoizes are computed through int8 matmuls and are **not**
-/// bit-compatible with the f32 tier's entries.  Within one tier the usual
-/// bit-identity guarantee holds unchanged.
-pub fn forward_batch_memo_q(
-    model: &TreeModel,
-    store: &ParamStore,
-    quant: Option<&QuantWeights>,
-    g: &mut Graph,
-    plans: &[&EncodedPlan],
-    cache: &SubtreeStateCache,
-) -> (NodeId, NodeId) {
     let mut batch = MemoBatch::default();
     for &p in plans {
         batch.push_plan(p, cache);
     }
-    forward_memo(model, store, quant, g, &batch, cache)
+    forward_memo(model, store, g, &batch, cache)
 }
 
 /// The level-batched forward over a flattened memoized batch, shared by
@@ -499,7 +481,6 @@ pub fn forward_batch_memo_q(
 fn forward_memo(
     model: &TreeModel,
     store: &ParamStore,
-    quant: Option<&QuantWeights>,
     g: &mut Graph,
     batch: &MemoBatch,
     cache: &SubtreeStateCache,
@@ -555,7 +536,7 @@ fn forward_memo(
                 MemoSlot::Cached(_) => unreachable!("levels hold fresh nodes only"),
             })
             .collect();
-        let x_batch = model.embed_nodes_batch_q(g, store, quant, &feats);
+        let x_batch = model.embed_nodes_batch(g, store, &feats);
 
         let mut left_g = Vec::with_capacity(level_nodes.len());
         let mut left_r = Vec::with_capacity(level_nodes.len());
@@ -573,7 +554,7 @@ fn forward_memo(
         let left = CellOutput { g: g.gather_cols(&left_g), r: g.gather_cols(&left_r) };
         let right = CellOutput { g: g.gather_cols(&right_g), r: g.gather_cols(&right_r) };
 
-        let out = model.apply_cell_q(g, store, quant, x_batch, left, right);
+        let out = model.apply_cell(g, store, x_batch, left, right);
         for (col, &i) in level_nodes.iter().enumerate() {
             states[i] = Some(StateRef { g: (out.g, col), r: (out.r, col) });
             let mut sg = Vec::with_capacity(hidden);
@@ -587,7 +568,7 @@ fn forward_memo(
     let root_rs: Vec<(NodeId, usize)> =
         batch.roots.iter().map(|&r| states[r].expect("root state computed").r).collect();
     let r_batch = g.gather_cols(&root_rs);
-    model.estimate_from_representation_q(g, store, quant, r_batch)
+    model.estimate_from_representation(g, store, r_batch)
 }
 
 /// Memoized batched estimation: [`estimate_batch`] through
@@ -654,7 +635,7 @@ pub(crate) fn estimate_plans_memo(
             batch.push_plan(RawNode { plan, at, sigs: &sigs, extractor }, cache);
         }
         out.extend(with_inference_tape(|g| {
-            let (cost_out, card_out) = forward_memo(model, store, None, g, &batch, cache);
+            let (cost_out, card_out) = forward_memo(model, store, g, &batch, cache);
             denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
         }));
     }
@@ -663,7 +644,7 @@ pub(crate) fn estimate_plans_memo(
 
 /// Quantized-tier batched estimation: [`estimate_batch_refs`] through
 /// [`forward_batch_q`].  Approximate (int8 weight matmuls) but cheap — the
-/// first pass of the two-tier serving path.
+/// Table-12 Q8 rows.
 pub fn estimate_batch_quant(
     model: &TreeModel,
     store: &ParamStore,
@@ -685,27 +666,6 @@ pub fn estimate_batch_quant(
     }
     let groups: Vec<Vec<(f64, f64)>> = plans.par_chunks(GROUP_SIZE).map(group).collect();
     groups.concat()
-}
-
-/// Quantized-tier memoized estimation: [`estimate_batch_memo`] on the int8
-/// tier.  `qcache` must be a cache dedicated to this tier (see
-/// [`forward_batch_memo_q`] on tier/cache separation).
-pub fn estimate_batch_memo_quant(
-    model: &TreeModel,
-    store: &ParamStore,
-    quant: &QuantWeights,
-    normalization: &TargetNormalization,
-    plans: &[&EncodedPlan],
-    qcache: &SubtreeStateCache,
-) -> Vec<(f64, f64)> {
-    let mut out = Vec::with_capacity(plans.len());
-    for chunk in plans.chunks(GROUP_SIZE) {
-        out.extend(with_inference_tape(|g| {
-            let (cost_out, card_out) = forward_batch_memo_q(model, store, Some(quant), g, chunk, qcache);
-            denormalize_outputs(g, normalization, cost_out, card_out, chunk.len())
-        }));
-    }
-    out
 }
 
 pub mod reference {
@@ -1005,7 +965,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_batch_tracks_full_precision_and_memoizes_bit_identically() {
+    fn quantized_batch_tracks_full_precision() {
         let (plans, cfg) = samples(12);
         let model = TreeModel::new(
             &cfg,
@@ -1026,28 +986,6 @@ mod tests {
             assert!((fc.ln() - qc.ln()).abs() < 0.5, "quant cost diverged: {fc} vs {qc}");
             assert!((fk.ln() - qk.ln()).abs() < 0.5, "quant card diverged: {fk} vs {qk}");
         }
-
-        // Within the quantized tier the memoized path keeps bit-identity,
-        // against a cache dedicated to that tier.
-        let qcache = crate::memory::SubtreeStateCache::new();
-        let cold = estimate_batch_memo_quant(
-            &trainer.model,
-            &trainer.model.params,
-            &quant,
-            &trainer.normalization,
-            &refs,
-            &qcache,
-        );
-        assert_eq!(quantized, cold, "cold quant-memoized estimates must match the fresh quant path");
-        let warm = estimate_batch_memo_quant(
-            &trainer.model,
-            &trainer.model.params,
-            &quant,
-            &trainer.normalization,
-            &refs,
-            &qcache,
-        );
-        assert_eq!(quantized, warm, "warm quant-memoized estimates must match the fresh quant path");
     }
 
     #[test]

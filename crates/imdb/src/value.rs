@@ -1,13 +1,12 @@
 //! Scalar values stored in the synthetic database.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single cell value: either a 64-bit integer or a string.
 ///
 /// The IMDB schema used by the paper only needs these two types (years, ids,
 /// counts are integers; titles, notes, info strings are text).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     Int(i64),
     Str(String),

@@ -3,10 +3,8 @@
 //! Mirrors the rows of Tables 7, 8, 10 and 11 of the paper:
 //! median, 90th, 95th, 99th percentile, max and mean.
 
-use serde::{Deserialize, Serialize};
-
 /// Percentile summary of a set of per-query errors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorSummary {
     pub median: f64,
     pub p90: f64,

@@ -262,7 +262,7 @@ impl Graph {
     }
 
     /// Matrix product of a **quantized** weight matrix and a node — the
-    /// int8 tier of tiered inference.  The int8 inner products dequantize
+    /// int8 batch inference path.  The int8 inner products dequantize
     /// directly into an ordinary f32 tape node, so everything downstream
     /// (bias add, activations, state extraction) is tier-agnostic.
     ///

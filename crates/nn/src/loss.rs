@@ -7,11 +7,9 @@
 //! training loss is the log of the paper's q-error — monotone in it and
 //! numerically stable — and the reported metric is the q-error itself.
 
-use serde::{Deserialize, Serialize};
-
 /// Min-max statistics of `ln(value)` over a training set, used to normalize
 /// targets into `[0, 1]` and denormalize model outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizationStats {
     pub log_min: f64,
     pub log_max: f64,

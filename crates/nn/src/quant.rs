@@ -1,5 +1,5 @@
-//! Per-channel symmetric int8 weight quantization for the tiered
-//! (approximate-first) inference path.
+//! Per-channel symmetric int8 weight quantization for the int8 batch
+//! inference path.
 //!
 //! The estimator's inference cost is dominated by `Linear` matmuls whose
 //! left operand is a trained weight matrix.  Those weights are static after

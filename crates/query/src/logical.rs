@@ -5,12 +5,11 @@
 //! queries of the JOB / JOB-light / synthetic workloads.
 
 use crate::predicate::Predicate;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// An equi-join predicate between two tables' integer columns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JoinPredicate {
     pub left_table: String,
     pub left_column: String,
@@ -53,7 +52,7 @@ impl fmt::Display for JoinPredicate {
 }
 
 /// Aggregate function applied to a projected column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Aggregate {
     None,
     Min,
@@ -62,7 +61,7 @@ pub enum Aggregate {
 }
 
 /// A projected output column with an optional aggregate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Projection {
     pub table: String,
     pub column: String,
@@ -70,7 +69,7 @@ pub struct Projection {
 }
 
 /// A logical SPJA query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogicalQuery {
     /// Tables involved, in no particular order.
     pub tables: Vec<String>,

@@ -6,14 +6,13 @@
 
 use crate::logical::JoinPredicate;
 use crate::predicate::Predicate;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within one plan (pre-order position).
 pub type PlanNodeId = usize;
 
 /// Physical operator of a plan node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalOp {
     /// Full scan of a table, optionally filtering with a predicate.
     SeqScan { table: String, predicate: Option<Predicate> },
@@ -94,7 +93,7 @@ impl PhysicalOp {
 
 /// Per-node annotations produced by the ground-truth executor and the
 /// traditional estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeAnnotations {
     /// True output cardinality measured by executing the plan.
     pub true_cardinality: Option<f64>,
@@ -107,7 +106,7 @@ pub struct NodeAnnotations {
 }
 
 /// A node of a physical plan tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
     pub op: PhysicalOp,
     pub children: Vec<PlanNode>,

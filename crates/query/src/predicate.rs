@@ -7,11 +7,10 @@
 
 use crate::like::like_match;
 use imdb::{Table, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Comparison operator of an atomic predicate (Table 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     Eq,
     Ne,
@@ -62,7 +61,7 @@ impl fmt::Display for CompareOp {
 }
 
 /// Right-hand side of an atomic predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Operand {
     Num(f64),
     Str(String),
@@ -107,7 +106,7 @@ impl fmt::Display for Operand {
 }
 
 /// An atomic predicate `table.column op operand`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtomPredicate {
     pub table: String,
     pub column: String,
@@ -175,7 +174,7 @@ impl fmt::Display for AtomPredicate {
 }
 
 /// A predicate expression tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     Atom(AtomPredicate),
     And(Box<Predicate>, Box<Predicate>),

@@ -8,11 +8,10 @@
 //! query substrings of the workload so the dictionary also covers strings
 //! future queries will ask for.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One token of a pattern.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PatToken {
     /// `PC` — one or more capital letters.
     Capital,
@@ -65,7 +64,7 @@ impl fmt::Display for PatToken {
 }
 
 /// A pattern: a sequence of tokens matched greedily and contiguously.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Pattern(pub Vec<PatToken>);
 
 impl Pattern {
@@ -143,14 +142,14 @@ impl fmt::Display for Pattern {
 }
 
 /// The string function of a rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StringFunc {
     Prefix,
     Suffix,
 }
 
 /// A substring-extraction rule `⟨F, P, L⟩`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rule {
     pub func: StringFunc,
     pub pattern: Pattern,

@@ -2,24 +2,38 @@
 //!
 //! [`CostEstimator`] wires everything together the way the paper's Figure 2
 //! does: a feature extractor (with a pluggable string encoder), the tree
-//! model, the trainer and the representation memory pool.  Downstream users
-//! hand it annotated training plans once, then ask it for `(cost,
-//! cardinality)` of new physical plans.
+//! model, the trainer and the memory pool of sub-plan representations (the
+//! subtree-state cache).  Downstream users hand it annotated training plans
+//! once, then ask it for `(cost, cardinality)` of new physical plans.
+//!
+//! Every raw-plan entry point — [`CostEstimator::estimate`],
+//! [`Estimator::estimate_one`], [`Estimator::estimate_many`] and
+//! [`ServingEstimator::estimate_plans`] — runs the one memoized serving
+//! path, so a repeated plan is served from its root's cached state.
 
 use crate::backend::{Estimator, EstimatorCapabilities, PlanEstimate, TrainableEstimator};
 use crate::batch::{estimate_batch, estimate_batch_memo, estimate_batch_quant, estimate_plans_memo};
 use crate::checkpoint;
-use crate::memory::{EncodedSubtreeCache, RepresentationMemoryPool, SubtreeStateCache};
+use crate::memory::SubtreeStateCache;
 use crate::model::{ModelConfig, TaskMode, TreeModel};
 use crate::trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};
 use featurize::{EncodedPlan, FeatureExtractor};
 use nn::checkpoint as ckpt;
 use nn::checkpoint::CheckpointError;
 use nn::QuantWeights;
-use query::PlanNode;
+use query::{PlanNode, ShardedCache};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
+
+/// Per-shard entry bound of the encode cache: encoded plans are 1–2 orders
+/// of magnitude larger than subtree states (they carry the full feature
+/// slabs of a subtree), so the bound is tighter than the state cache's.
+const ENCODE_CACHE_MAX_PER_SHARD: usize = 2 * 1024;
+
+fn new_encode_cache() -> Arc<ShardedCache<Arc<EncodedPlan>>> {
+    Arc::new(ShardedCache::with_shard_capacity(ENCODE_CACHE_MAX_PER_SHARD))
+}
 
 /// An end-to-end learned cost and cardinality estimator.
 pub struct CostEstimator {
@@ -27,11 +41,10 @@ pub struct CostEstimator {
     trainer: Option<Trainer>,
     model_config: ModelConfig,
     train_config: TrainConfig,
-    pool: RepresentationMemoryPool,
     subtree_cache: Arc<SubtreeStateCache>,
     /// Memoized subtree *encodings* (the featurize front of the serving
     /// path); swapped together with `subtree_cache` on every invalidation.
-    encode_cache: Arc<EncodedSubtreeCache>,
+    encode_cache: Arc<ShardedCache<Arc<EncodedPlan>>>,
     /// Per-channel int8 form of the fitted weights (the unmemoized Q8
     /// batch path); derived on demand or restored from a v3 checkpoint.
     quant: Option<QuantWeights>,
@@ -45,18 +58,17 @@ impl CostEstimator {
             trainer: None,
             model_config,
             train_config,
-            pool: RepresentationMemoryPool::new(),
             subtree_cache: Arc::new(SubtreeStateCache::new()),
-            encode_cache: Arc::new(EncodedSubtreeCache::new()),
+            encode_cache: new_encode_cache(),
             quant: None,
         }
     }
 
-    /// Invalidate every serving cache: the memory pool is cleared and the
-    /// subtree-state cache is **replaced** with a fresh `Arc` rather than
-    /// cleared in place, so an outstanding owned [`ServingEstimator`] keeps
-    /// its consistent (old model, old cache) pair while this estimator's
-    /// next handle starts empty — nothing computed under the old parameters
+    /// Invalidate every serving cache: the subtree-state cache is
+    /// **replaced** with a fresh `Arc` rather than cleared in place, so an
+    /// outstanding owned [`ServingEstimator`] keeps its consistent (old
+    /// model, old cache) pair while this estimator's next handle starts
+    /// empty — nothing computed under the old parameters
     /// can ever serve the new ones, in either direction.  The quantized
     /// weights are dropped too: they derive from the parameters that just
     /// changed.  The encoded-subtree cache is swapped under the same rule —
@@ -65,9 +77,8 @@ impl CostEstimator {
     /// every serving cache is cheaper to reason about than a carve-out, and
     /// re-encoding a working set is a few milliseconds.
     fn invalidate_caches(&mut self) {
-        self.pool.clear();
         self.subtree_cache = Arc::new(SubtreeStateCache::new());
-        self.encode_cache = Arc::new(EncodedSubtreeCache::new());
+        self.encode_cache = new_encode_cache();
         self.quant = None;
     }
 
@@ -106,12 +117,12 @@ impl CostEstimator {
     /// since the last refit) is featurized exactly once.  Bit-identical to
     /// [`CostEstimator::encode`] per plan.
     pub fn encode_plans(&self, plans: &[PlanNode]) -> Vec<Arc<EncodedPlan>> {
-        self.extractor.encode_plans_cached(plans, self.encode_cache.as_ref())
+        self.extractor.encode_plans_cached(plans, &self.encode_cache)
     }
 
     /// The memoized-encode cache backing [`CostEstimator::encode_plans`]
     /// (and every [`ServingEstimator`] handle minted since the last refit).
-    pub fn encode_cache(&self) -> &EncodedSubtreeCache {
+    pub fn encode_cache(&self) -> &ShardedCache<Arc<EncodedPlan>> {
         self.encode_cache.as_ref()
     }
 
@@ -121,7 +132,7 @@ impl CostEstimator {
         let mut trainer = Trainer::new(model, samples, self.train_config);
         let stats = trainer.train(samples);
         self.trainer = Some(trainer);
-        // Cached estimates and subtree states belong to the previous model.
+        // Cached subtree states belong to the previous model.
         self.invalidate_caches();
         stats
     }
@@ -157,7 +168,7 @@ impl CostEstimator {
             ));
         }
         let stats = trainer.train(samples);
-        // Parameters moved: every cached estimate/state is stale.
+        // Parameters moved: every cached state is stale.
         self.invalidate_caches();
         Ok(stats)
     }
@@ -198,23 +209,14 @@ impl CostEstimator {
         self.trainer.as_ref().is_some_and(|t| t.is_resumable())
     }
 
-    /// Estimate `(cost, cardinality)` for a physical plan.
-    ///
-    /// Results for previously-seen plan signatures are served from the
-    /// representation memory pool.
+    /// Estimate `(cost, cardinality)` for a physical plan through the
+    /// memoized serving path ([`ServingEstimator::estimate_plans`]): a
+    /// previously-seen plan is served from its root's cached state.
     ///
     /// # Panics
     /// Panics if the estimator has not been fitted.
     pub fn estimate(&self, plan: &PlanNode) -> (f64, f64) {
-        let trainer = self.trainer.as_ref().expect("CostEstimator::estimate called before fit");
-        let signature = plan.signature_hash();
-        if let Some(hit) = self.pool.get(signature) {
-            return hit;
-        }
-        let encoded = self.encode(plan);
-        let result = trainer.estimate(&encoded);
-        self.pool.insert(signature, result.0, result.1);
-        result
+        self.serving().estimate_plans(std::slice::from_ref(plan))[0]
     }
 
     /// Estimate `(cost, cardinality)` for an already-encoded plan.
@@ -311,11 +313,6 @@ impl CostEstimator {
         )
     }
 
-    /// Cache statistics of the representation memory pool `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.pool.stats()
-    }
-
     /// Persist the fitted model as a versioned binary checkpoint: model
     /// configuration, target normalization, the extractor's one-hot
     /// vocabulary and every parameter tensor (raw `f32` bit patterns).  A
@@ -395,9 +392,9 @@ impl CostEstimator {
     /// ([`CheckpointError::VocabMismatch`] on either), so loaded weights
     /// can never be applied to features laid out differently than the ones
     /// they were trained on.  Exactly like a re-fit, a successful load
-    /// clears the representation memory pool and the subtree-state cache —
-    /// every cached value belongs to the replaced parameters.  On error the
-    /// estimator is left untouched.
+    /// replaces the subtree-state and encode caches — every cached value
+    /// belongs to the replaced parameters.  On error the estimator is left
+    /// untouched.
     pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         self.load_checkpoint_impl(path.as_ref(), false)
     }
@@ -445,8 +442,8 @@ impl CostEstimator {
             if version >= 3 { checkpoint::read_quant_weights(&mut r, trainer.model.params.len())? } else { None };
         self.model_config = model_config;
         self.trainer = Some(trainer);
-        // Same invalidation as re-fit: cached estimates and subtree states
-        // belong to the parameters this load just replaced.
+        // Same invalidation as re-fit: cached subtree states belong to the
+        // parameters this load just replaced.
         self.invalidate_caches();
         self.quant = quant;
         Ok(())
@@ -528,7 +525,7 @@ pub struct ServingEstimator {
     /// every clone of this handle — swapped alongside `cache` on
     /// invalidation so a handle always holds a consistent (model, caches)
     /// set.
-    encode_cache: Arc<EncodedSubtreeCache>,
+    encode_cache: Arc<ShardedCache<Arc<EncodedPlan>>>,
 }
 
 impl ServingEstimator {
@@ -547,7 +544,7 @@ impl ServingEstimator {
     /// cache: each distinct (subtree, annotations) featurized at most once
     /// across the batch *and* across every session sharing this handle.
     pub fn encode_plans(&self, plans: &[PlanNode]) -> Vec<Arc<EncodedPlan>> {
-        self.extractor.encode_plans_cached(plans, self.encode_cache.as_ref())
+        self.extractor.encode_plans_cached(plans, &self.encode_cache)
     }
 
     /// Score a batch of candidate plans with subtree memoization
@@ -563,7 +560,7 @@ impl ServingEstimator {
     }
 
     /// The shared encoded-subtree cache (for hit-rate reporting).
-    pub fn encode_cache(&self) -> &EncodedSubtreeCache {
+    pub fn encode_cache(&self) -> &ShardedCache<Arc<EncodedPlan>> {
         self.encode_cache.as_ref()
     }
 
@@ -646,17 +643,19 @@ mod tests {
         est.estimate(&plans[0]);
     }
 
+    /// The paper's memory pool is the subtree-state cache: a repeated
+    /// `estimate` is served from the plan's root state and embeds nothing.
     #[test]
     fn memory_pool_caches_repeated_plans() {
         let (mut est, db) = make_estimator();
         let plans = executed_plans(&db, 10);
         est.fit(&plans);
         let a = est.estimate(&plans[0]);
+        let (_, computed_before) = est.subtree_cache().node_stats();
         let b = est.estimate(&plans[0]);
-        assert_eq!(a, b);
-        let (hits, misses) = est.cache_stats();
-        assert_eq!(hits, 1);
-        assert!(misses >= 1);
+        assert_eq!(bits(&[a]), bits(&[b]));
+        let (_, computed_after) = est.subtree_cache().node_stats();
+        assert_eq!(computed_after - computed_before, 0, "a repeated plan must not embed any node");
     }
 
     #[test]
@@ -719,10 +718,13 @@ mod tests {
         assert_eq!(bits(&serving.estimate_encoded_batch(&refs)), want);
         assert_eq!(bits(&serving.estimate_plans(&stream)), want);
         assert_eq!(bits(&serving.estimate_encoded_batch(&refs[half..])), want[half..]);
-        // The trait front door takes the same raw path.
-        let caps = est.estimate_many(&stream);
-        let many: Vec<(u64, u64)> =
-            caps.iter().map(|e| (e.cost.expect("cost").to_bits(), e.cardinality.expect("card").to_bits())).collect();
+        // The single-plan and trait front doors take the same raw path.
+        let single: Vec<(f64, f64)> = stream.iter().map(|p| est.estimate(p)).collect();
+        assert_eq!(bits(&single), want);
+        let caps = |e: &PlanEstimate| (e.cost.expect("cost").to_bits(), e.cardinality.expect("card").to_bits());
+        let one: Vec<(u64, u64)> = stream.iter().map(|p| caps(&est.estimate_one(p))).collect();
+        assert_eq!(one, want);
+        let many: Vec<(u64, u64)> = est.estimate_many(&stream).iter().map(caps).collect();
         assert_eq!(many, want);
         // The raw path never featurizes through the encode cache: only the
         // explicit `encode_plans` call above probed it.
@@ -837,9 +839,9 @@ mod tests {
     }
 
     /// Satellite regression guard: swapping a checkpoint in must invalidate
-    /// the subtree-state cache and the representation memory pool exactly
-    /// like a re-fit — a stale cached state from the old parameters must
-    /// not leak into post-swap estimates.
+    /// the subtree-state and encode caches exactly like a re-fit — a stale
+    /// cached state from the old parameters must not leak into post-swap
+    /// estimates.
     #[test]
     fn load_checkpoint_clears_stale_caches() {
         let (mut a, db) = make_estimator();
@@ -864,10 +866,12 @@ mod tests {
         b.fit(&plans);
         let b_estimates = b.estimate_encoded_batch_memo(&encoded);
 
-        // Warm A's subtree cache and memory pool under the OLD parameters.
+        // Warm A's subtree and encode caches under the OLD parameters.
         let stale_memo = a.estimate_encoded_batch_memo(&encoded);
         let _ = a.estimate(&plans[0]);
+        let _ = a.encode_plans(&plans);
         assert!(!a.subtree_cache().is_empty(), "test needs a warm subtree cache");
+        assert!(!a.encode_cache().is_empty(), "test needs a warm encode cache");
         assert_ne!(bits(&stale_memo), bits(&b_estimates), "models must differ for the guard to mean anything");
 
         // Swap B's checkpoint into A.
@@ -875,7 +879,7 @@ mod tests {
         b.save_checkpoint(&path).expect("save");
         a.load_checkpoint(&path).expect("load");
         assert!(a.subtree_cache().is_empty(), "subtree cache must be cleared by a checkpoint swap");
-        assert_eq!(a.cache_stats(), (0, 0), "memory-pool stats must be reset by a checkpoint swap");
+        assert!(a.encode_cache().is_empty(), "encode cache must be replaced by a checkpoint swap");
 
         // The memoized path after the swap must match B exactly: no column
         // may be served from a pre-swap cached state.

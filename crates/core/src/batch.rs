@@ -35,12 +35,13 @@
 //! implementation as a correctness oracle and as the "pre-optimization
 //! batched path" baseline of the Table-12 efficiency bench.
 
-use crate::memory::{IdentityHasher, SubtreeState, SubtreeStateCache};
+use crate::memory::{SubtreeState, SubtreeStateCache};
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
 use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
 use nn::cells::CellOutput;
 use nn::{Graph, NodeId, ParamStore, QuantWeights};
+use query::cache::IdentityHasher;
 use query::PlanNode;
 use rayon::prelude::*;
 use std::borrow::Cow;

@@ -9,9 +9,9 @@
 //! * [`batch`] — level-wise batched inference (the batching technique of
 //!   Section 4.3, measured in Table 12) and the subtree-memoized serving
 //!   forward of the optimizer loop.
-//! * [`memory`] — the sharded, 64-bit-signature-keyed serving caches of the
-//!   online workflow (Section 3): the representation memory pool and the
-//!   subtree-state cache.
+//! * [`memory`] — the subtree-state cache of the online workflow
+//!   (Section 3): the paper's memory pool of sub-plan representations,
+//!   keyed by 64-bit structural signatures.
 //! * [`api`] — the [`CostEstimator`] façade downstream users interact with,
 //!   plus the thread-shareable [`ServingEstimator`] handle.
 //! * [`backend`] — the pluggable-backend contract ([`Estimator`] /
@@ -36,7 +36,7 @@ pub use batch::{
     estimate_batch, estimate_batch_memo, estimate_batch_quant, estimate_batch_refs, forward_batch, forward_batch_memo,
     forward_batch_q, reference::estimate_batch_reference,
 };
-pub use memory::{EncodedSubtreeCache, RepresentationMemoryPool, ShardedCache, SubtreeState, SubtreeStateCache};
+pub use memory::{SubtreeState, SubtreeStateCache};
 pub use model::{ModelConfig, PredicateModelKind, RepresentationCellKind, TaskMode, TreeModel};
 pub use nn::checkpoint::CheckpointError;
 pub use trainer::{EpochStats, TargetNormalization, TrainConfig, Trainer};

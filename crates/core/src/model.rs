@@ -260,8 +260,8 @@ impl TreeModel {
     /// groups are column-stacked into one `dim x n` input each, so the
     /// embedding layers run **once per group per batch** instead of once per
     /// node, and the predicate trees are level-batched the same way
-    /// ([`TreeModel::embed_predicates_batch`]).  Returns the `4d x n`
-    /// batched embedding `E`.
+    /// (`embed_predicates_batch_q`).  Returns the `4d x n` batched
+    /// embedding `E`.
     ///
     /// # Panics
     /// Panics if `features` is empty.

@@ -1,13 +1,12 @@
 //! Contract tests of the memoized featurization path: signature-memoized
 //! `encode_plans` must be **bit-identical** to fresh `encode_plan` — cold
 //! cache, warm cache, under eviction, and under concurrent sessions sharing
-//! one [`EncodedSubtreeCache`].
+//! one encode cache ([`ShardedCache`]).
 
-use estimator_core::EncodedSubtreeCache;
 use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, GeneratorConfig};
 use proptest::prelude::*;
-use query::PlanNode;
+use query::{PlanNode, ShardedCache};
 use std::sync::{Arc, OnceLock};
 use strembed::HashBitmapEncoder;
 use workloads::{generate_enumeration_workload, EnumerationConfig};
@@ -40,7 +39,7 @@ proptest! {
         let fresh: Vec<EncodedPlan> = candidates.iter().map(|c| fixture.fx.encode_plan(c)).collect();
 
         // Cold shared cache: every plan bit-identical to fresh encoding.
-        let cache = EncodedSubtreeCache::new();
+        let cache = ShardedCache::new();
         let cold = fixture.fx.encode_plans_cached(candidates, &cache);
         prop_assert_eq!(cold.len(), fresh.len());
         for (c, f) in cold.iter().zip(&fresh) {
@@ -65,7 +64,7 @@ proptest! {
         // Eviction can only cost re-encodes, never change results: a
         // one-entry-per-shard cache thrashes constantly and must still be
         // bit-identical.
-        let tiny = EncodedSubtreeCache::with_shard_capacity(1);
+        let tiny = ShardedCache::with_shard_capacity(1);
         let evicted = fixture.fx.encode_plans_cached(candidates, &tiny);
         for (e, f) in evicted.iter().zip(&fresh) {
             prop_assert_eq!(e.as_ref(), f);
@@ -85,7 +84,7 @@ fn concurrent_sessions_share_the_encode_cache_without_lost_updates() {
     let fresh: Vec<EncodedPlan> = stream.iter().map(|p| fixture.fx.encode_plan(p)).collect();
 
     const THREADS: usize = 8;
-    let cache = Arc::new(EncodedSubtreeCache::new());
+    let cache = Arc::new(ShardedCache::new());
     let results: Vec<Vec<Arc<EncodedPlan>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {

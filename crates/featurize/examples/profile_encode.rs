@@ -7,9 +7,9 @@
 //!
 //! `cargo run -p featurize --release --example profile_encode`
 
-use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor, LocalEncodeCache};
+use featurize::{EncodedPlan, EncodingConfig, FeatureExtractor};
 use imdb::{generate_imdb, GeneratorConfig};
-use query::PlanNode;
+use query::{PlanNode, ShardedCache};
 use std::sync::Arc;
 use std::time::Instant;
 use strembed::HashBitmapEncoder;
@@ -81,10 +81,10 @@ fn main() {
         }
     });
     let cold_ns = time_ns(5, || {
-        let cache = LocalEncodeCache::new();
+        let cache = ShardedCache::new();
         std::hint::black_box(fx.encode_plans_cached(&plans, &cache));
     });
-    let warm_cache = LocalEncodeCache::new();
+    let warm_cache = ShardedCache::new();
     fx.encode_plans_cached(&plans, &warm_cache);
     let warm_ns = time_ns(20, || {
         std::hint::black_box(fx.encode_plans_cached(&plans, &warm_cache));

@@ -16,13 +16,16 @@
 //!   [`EncodingConfig`] — no `String` clone per lookup;
 //! * the sample bitmap — a full predicate sweep over the table sample, the
 //!   single most expensive encode step — is memoized per
-//!   `(table, predicate signature)` in a sharded map shared by every encode
-//!   path (the sweep's inputs are immutable per extractor, so entries never
-//!   go stale);
-//! * whole sub-plan encodings are memoized by structural signature through
-//!   any [`EncodedPlanCache`] ([`FeatureExtractor::encode_plan_cached`] /
-//!   [`FeatureExtractor::encode_plans`]), so DP enumeration encodes each
-//!   distinct subtree exactly once.
+//!   `(table, predicate signature)` in a [`ShardedCache`] shared by every
+//!   encode path (the sweep's inputs are immutable per extractor, so
+//!   entries never go stale);
+//! * whole sub-plan encodings are memoized by structural signature in a
+//!   caller-owned [`ShardedCache`]
+//!   ([`FeatureExtractor::encode_plan_cached`] /
+//!   [`FeatureExtractor::encode_plans_cached`];
+//!   [`FeatureExtractor::encode_plans`] dedups within one batch through a
+//!   throwaway one), so DP enumeration encodes each distinct subtree
+//!   exactly once.
 //!
 //! Every memoized path is **bit-identical** to the fresh
 //! [`FeatureExtractor::encode_plan`]: encoding is deterministic in the plan
@@ -32,11 +35,9 @@
 
 use crate::config::EncodingConfig;
 use imdb::Database;
-use query::{AtomPredicate, CompareOp, Operand, PhysicalOp, PlanNode, Predicate, SigHasher};
+use query::{AtomPredicate, CompareOp, Operand, PhysicalOp, PlanNode, Predicate, ShardedCache, SigHasher};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use strembed::StringEncoder;
 
 /// Encoded predicate tree: the min/max pooling model consumes the structure,
@@ -164,118 +165,9 @@ impl EncodedPlan {
     }
 }
 
-/// A pluggable cross-call cache of encoded subtrees, keyed by the memo key
-/// of [`FeatureExtractor::encode_plan_cached`] (structural signature mixed
-/// with the subtree's annotations).
-///
-/// `featurize` sits below the crate that owns the production sharded cache,
-/// so the cache is injected through this trait: `estimator_core` implements
-/// it for its `EncodedSubtreeCache`, and [`LocalEncodeCache`] provides the
-/// in-batch dedup used by [`FeatureExtractor::encode_plans`].
-pub trait EncodedPlanCache: Send + Sync {
-    /// Cached encoding under `key`, if present.
-    fn get(&self, key: u64) -> Option<Arc<EncodedPlan>>;
-    /// Store `value` under `key`.
-    fn insert(&self, key: u64, value: Arc<EncodedPlan>);
-}
-
-/// A plain mutex-guarded map cache: the in-batch dedup scope of
-/// [`FeatureExtractor::encode_plans`], or a cheap private cache for tests.
-#[derive(Debug, Default)]
-pub struct LocalEncodeCache {
-    map: Mutex<HashMap<u64, Arc<EncodedPlan>>>,
-}
-
-impl LocalEncodeCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached subtrees.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EncodedPlanCache for LocalEncodeCache {
-    fn get(&self, key: u64) -> Option<Arc<EncodedPlan>> {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).get(&key).cloned()
-    }
-
-    fn insert(&self, key: u64, value: Arc<EncodedPlan>) {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).insert(key, value);
-    }
-}
-
-const BITMAP_MEMO_SHARDS: usize = 16;
-/// Per-shard entry cap; a shard that fills up is dropped wholesale (the memo
-/// is advisory — re-deriving a bitmap is always correct, just slower).
+/// Per-shard entry cap of the sample-bitmap memo (the memo is advisory —
+/// re-deriving an evicted bitmap is always correct, just slower).
 const BITMAP_MEMO_MAX_PER_SHARD: usize = 8 * 1024;
-
-/// Sharded memo of sample bitmaps keyed by `(table, predicate signature)`.
-///
-/// The bitmap sweep evaluates the scan predicate over every sampled row of
-/// the table — the single most expensive encode step — and its inputs
-/// (table sample, predicate) are immutable per extractor, so the memo never
-/// needs invalidation: entries stay valid across refits, hot-swaps and
-/// `use_sample_bitmap` toggles (the flag is checked before the memo).
-#[derive(Debug)]
-struct BitmapMemo {
-    shards: [Mutex<HashMap<u64, Arc<Vec<f32>>>>; BITMAP_MEMO_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl BitmapMemo {
-    fn new() -> Self {
-        BitmapMemo {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Shard selection matches the sharded caches elsewhere: middle bits of
-    /// the splitmix-finalized key, so low-bit reuse cannot skew placement.
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Vec<f32>>>> {
-        &self.shards[((key >> 32) as usize) & (BITMAP_MEMO_SHARDS - 1)]
-    }
-
-    fn get(&self, key: u64) -> Option<Arc<Vec<f32>>> {
-        let hit = self.shard(key).lock().unwrap_or_else(|e| e.into_inner()).get(&key).cloned();
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
-    }
-
-    fn insert(&self, key: u64, bits: Arc<Vec<f32>>) {
-        let mut shard = self.shard(key).lock().unwrap_or_else(|e| e.into_inner());
-        if shard.len() >= BITMAP_MEMO_MAX_PER_SHARD {
-            shard.clear();
-        }
-        shard.insert(key, bits);
-    }
-
-    fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-}
 
 thread_local! {
     /// Scratch for per-item string encodings when averaging IN-list members.
@@ -297,7 +189,11 @@ pub struct FeatureExtractor {
     /// the sample (the pre-memo pipeline, bit-identical output) — bench
     /// baselines flip this on a clone to measure the memo's contribution.
     pub use_bitmap_memo: bool,
-    bitmap_memo: Arc<BitmapMemo>,
+    /// Sample bitmaps keyed by `(table, predicate signature)`.  The sweep's
+    /// inputs (table sample, predicate) are immutable per extractor, so
+    /// entries never go stale: they stay valid across refits, hot-swaps and
+    /// `use_sample_bitmap` toggles (the flag is checked before the memo).
+    bitmap_memo: Arc<ShardedCache<Arc<Vec<f32>>>>,
 }
 
 impl FeatureExtractor {
@@ -309,7 +205,7 @@ impl FeatureExtractor {
             db,
             use_sample_bitmap: true,
             use_bitmap_memo: true,
-            bitmap_memo: Arc::new(BitmapMemo::new()),
+            bitmap_memo: Arc::new(ShardedCache::with_shard_capacity(BITMAP_MEMO_MAX_PER_SHARD)),
         }
     }
 
@@ -326,12 +222,7 @@ impl FeatureExtractor {
 
     /// Hit rate of the sample-bitmap memo (0 when never probed).
     pub fn bitmap_memo_hit_rate(&self) -> f64 {
-        let (hits, misses) = self.bitmap_memo.stats();
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
+        self.bitmap_memo.hit_rate()
     }
 
     /// Drop every memoized bitmap and reset the counters (bench baselines;
@@ -579,7 +470,7 @@ impl FeatureExtractor {
     /// identical plans with different training targets never alias — the
     /// result is bit-identical to a fresh encode for *any* plan, annotated
     /// or not.
-    pub fn encode_plan_cached(&self, plan: &PlanNode, cache: &dyn EncodedPlanCache) -> Arc<EncodedPlan> {
+    pub fn encode_plan_cached(&self, plan: &PlanNode, cache: &ShardedCache<Arc<EncodedPlan>>) -> Arc<EncodedPlan> {
         let mut stack = Vec::new();
         self.encode_cached_rec(plan, cache, &mut stack);
         stack.pop().expect("encode_cached_rec pushes exactly one root entry").0
@@ -589,14 +480,18 @@ impl FeatureExtractor {
     /// (or repeated within) the batch are encoded once.  Bit-identical to
     /// encoding each plan with [`FeatureExtractor::encode_plan`].
     pub fn encode_plans(&self, plans: &[PlanNode]) -> Vec<EncodedPlan> {
-        let cache = LocalEncodeCache::new();
+        let cache = ShardedCache::new();
         plans.iter().map(|p| EncodedPlan::clone(&self.encode_plan_cached(p, &cache))).collect()
     }
 
     /// [`FeatureExtractor::encode_plans`] against a caller-owned cache (the
-    /// serving layer passes its cross-call `EncodedSubtreeCache` here), so
-    /// dedup extends across batches, sessions and rounds.
-    pub fn encode_plans_cached(&self, plans: &[PlanNode], cache: &dyn EncodedPlanCache) -> Vec<Arc<EncodedPlan>> {
+    /// serving layer passes its cross-call encode cache here), so dedup
+    /// extends across batches, sessions and rounds.
+    pub fn encode_plans_cached(
+        &self,
+        plans: &[PlanNode],
+        cache: &ShardedCache<Arc<EncodedPlan>>,
+    ) -> Vec<Arc<EncodedPlan>> {
         let mut stack = Vec::new();
         plans
             .iter()
@@ -615,7 +510,7 @@ impl FeatureExtractor {
     fn encode_cached_rec(
         &self,
         plan: &PlanNode,
-        cache: &dyn EncodedPlanCache,
+        cache: &ShardedCache<Arc<EncodedPlan>>,
         stack: &mut Vec<(Arc<EncodedPlan>, u64)>,
     ) {
         let base = stack.len();
@@ -886,7 +781,7 @@ mod tests {
         assert_eq!(batched, fresh, "batched memoized encode must equal fresh per-plan encode");
 
         // Through an explicit cache the two identical roots share one Arc.
-        let cache = LocalEncodeCache::new();
+        let cache = ShardedCache::new();
         let arcs = fx.encode_plans_cached(&plans, &cache);
         assert!(Arc::ptr_eq(&arcs[0], &arcs[1]), "identical plans must dedup to one cached encoding");
         assert!(!Arc::ptr_eq(&arcs[0], &arcs[2]));
@@ -913,7 +808,7 @@ mod tests {
         let mut bare = executed.clone();
         clear_annotations(&mut bare);
         assert_eq!(executed.signature_hash(), bare.signature_hash(), "twins must collide structurally");
-        let cache = LocalEncodeCache::new();
+        let cache = ShardedCache::new();
         let a = fx.encode_plan_cached(&executed, &cache);
         let b = fx.encode_plan_cached(&bare, &cache);
         assert!(a.true_cost > 0.0);

@@ -16,4 +16,4 @@ pub mod config;
 pub mod encode;
 
 pub use config::EncodingConfig;
-pub use encode::{EncodedPlan, EncodedPlanCache, FeatureExtractor, LocalEncodeCache, NodeFeatures, PredicateEncoding};
+pub use encode::{EncodedPlan, FeatureExtractor, NodeFeatures, PredicateEncoding};

@@ -1078,6 +1078,38 @@ mod tests {
         }
     }
 
+    /// A reused training tape must not grow its buffer pool: the backward
+    /// sweep consumes every node gradient, and `reset` recycles node values
+    /// only, so each pass takes back exactly the buffers the last returned.
+    #[test]
+    fn training_tape_pool_stays_flat_across_identical_passes() {
+        let (mut store, w, v) = two_params();
+        let pass = |g: &mut Graph, store: &mut ParamStore| {
+            g.reset();
+            store.zero_grad();
+            let x = g.input_zeros_with(2, 3, |m| m.data_mut().copy_from_slice(&[0.4, -0.6, 1.2, 0.9, 0.1, -1.5]));
+            let wp = g.param(store, w);
+            let trunk = g.matmul(wp, x);
+            let trunk = g.tanh(trunk);
+            let children = g.gather_cols(&[(trunk, 2), (trunk, 0), (trunk, 2)]);
+            let vp = g.param(store, v);
+            let head1 = g.matmul(vp, children);
+            let head2 = g.scale(trunk, 2.0);
+            let seeds =
+                vec![(head1, Matrix::from_vec(1, 3, vec![1.0; 3])), (head2, Matrix::from_vec(2, 3, vec![0.5; 6]))];
+            g.backward_multi(seeds, store);
+        };
+        let mut g = Graph::new();
+        for _ in 0..3 {
+            pass(&mut g, &mut store);
+        }
+        let warm = g.pooled_buffers();
+        for _ in 0..200 {
+            pass(&mut g, &mut store);
+        }
+        assert_eq!(g.pooled_buffers(), warm, "the training tape's buffer pool grew across identical passes");
+    }
+
     #[test]
     fn fused_lstm_gates_match_unfused_ops_within_path_contract() {
         let pre = |g: &mut Graph| {

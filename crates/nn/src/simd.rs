@@ -1137,10 +1137,11 @@ pub fn sigmoid_fast(x: f32) -> f32 {
 
 /// [`lstm_gate_sweep`] with the fast approximate activations — the int8
 /// tier's gate sweep, dispatched like every kernel here.  The AVX2 arm uses
-/// separate multiply + add Horner steps (**no FMA** — [`tanh_fast_x8`]), so
-/// it reproduces the scalar [`tanh_fast`] / [`sigmoid_fast`] roundings
-/// bit-for-bit and the int8 tier's cross-path bit-identity contract holds
-/// for the whole quantized forward pass, activations included.
+/// separate multiply + add Horner steps (**no FMA** — the private
+/// `tanh_fast_x8`), so it reproduces the scalar [`tanh_fast`] /
+/// [`sigmoid_fast`] roundings bit-for-bit and the int8 tier's cross-path
+/// bit-identity contract holds for the whole quantized forward pass,
+/// activations included.
 ///
 /// # Panics
 /// Panics if the buffers disagree in length.

@@ -10,14 +10,20 @@
 //!   projection/aggregation list;
 //! * [`plan`] — physical plan trees (the input of the cost estimator):
 //!   Seq/Index scans, Hash/Merge/Nested-loop joins, Sort and Aggregate nodes,
-//!   each optionally annotated with estimated and true cost/cardinality.
+//!   each optionally annotated with estimated and true cost/cardinality;
+//! * [`sighash`] — allocation-free 64-bit structural signatures of plans
+//!   and predicates;
+//! * [`cache`] — [`ShardedCache`], the one cache type keyed by those
+//!   signatures.
 
+pub mod cache;
 pub mod like;
 pub mod logical;
 pub mod plan;
 pub mod predicate;
 pub mod sighash;
 
+pub use cache::ShardedCache;
 pub use like::like_match;
 pub use logical::{Aggregate, JoinPredicate, LogicalQuery, Projection};
 pub use plan::{PhysicalOp, PlanNode, PlanNodeId};

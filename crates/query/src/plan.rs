@@ -181,8 +181,8 @@ impl PlanNode {
         out
     }
 
-    /// A stable textual signature of the subtree structure (used as the key
-    /// of the representation memory pool in Section 3's workflow).
+    /// A stable textual signature of the subtree structure — the readable
+    /// form of [`PlanNode::signature_hash`], for debugging and tests.
     pub fn signature(&self) -> String {
         let mut sig = String::new();
         self.signature_inner(&mut sig);
@@ -241,8 +241,8 @@ impl PlanNode {
     }
 
     /// Allocation-free 64-bit structural signature of the subtree rooted
-    /// here — the key of the representation memory pool and the
-    /// subtree-state cache in the optimizer-in-the-loop serving path.
+    /// here — the key of the subtree-state cache (the paper's memory pool)
+    /// in the optimizer-in-the-loop serving path.
     ///
     /// Covers the same content as [`PlanNode::signature`] (operator, tables,
     /// columns, full predicate trees, children order) but streams it through

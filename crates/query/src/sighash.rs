@@ -2,11 +2,10 @@
 //!
 //! [`PlanNode::signature`](crate::PlanNode::signature) builds a `String` per
 //! call, which is fine for debugging but far too slow for the optimizer loop
-//! where every sub-plan of every candidate is looked up in the representation
-//! memory pool and the subtree-state cache.  [`SigHasher`] streams the same
-//! structural content (operator, tables, columns, predicate tree, children)
-//! through an FNV-1a accumulator with a splitmix64 finalizer, producing a
-//! `u64` key with no heap traffic.
+//! where every sub-plan of every candidate is looked up in the subtree-state
+//! cache.  [`SigHasher`] streams the same structural content (operator,
+//! tables, columns, predicate tree, children) through an FNV-1a accumulator
+//! with a splitmix64 finalizer, producing a `u64` key with no heap traffic.
 //!
 //! # Collision posture
 //!
@@ -17,7 +16,8 @@
 //! cached estimate (the caches are advisory, never load-bearing for
 //! correctness of training).  The splitmix64 finalizer restores the
 //! whole-word avalanche plain FNV-1a lacks, so every bit range of the key —
-//! the sharded caches select shards from the middle bits — is well mixed.
+//! [`ShardedCache`](crate::ShardedCache) selects shards from the middle
+//! bits — is well mixed.
 //! `signature_collision_free_over_1e5_subplans` (in `plan.rs`) pins the
 //! posture in practice: ≥1e5 structurally distinct generated sub-plans must
 //! produce pairwise-distinct signatures.

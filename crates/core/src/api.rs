@@ -714,6 +714,7 @@ mod tests {
         let half = stream.len() / 2;
         assert_eq!(bits(&serving.estimate_plans(&stream[..half])), want[..half]);
         let encoded = serving.encode_plans(&stream);
+        let probes = serving.encode_cache().stats();
         let refs: Vec<&EncodedPlan> = encoded.iter().map(|a| a.as_ref()).collect();
         assert_eq!(bits(&serving.estimate_encoded_batch(&refs)), want);
         assert_eq!(bits(&serving.estimate_plans(&stream)), want);
@@ -728,8 +729,17 @@ mod tests {
         assert_eq!(many, want);
         // The raw path never featurizes through the encode cache: only the
         // explicit `encode_plans` call above probed it.
-        let (hits, misses) = serving.encode_cache().stats();
-        assert_eq!(hits + misses, stream.iter().map(|p| p.size() as u64).sum::<u64>());
+        assert_eq!(serving.encode_cache().stats(), probes, "a raw-plan call probed the encode cache");
+        // That call was key-first on a cold cache over un-annotated plans
+        // (memo key = signature): each distinct subtree missed exactly once,
+        // and every plan probed its root plus the children of each miss.
+        let mut distinct = std::collections::HashMap::new();
+        for node in stream.iter().flat_map(|p| p.nodes_preorder()) {
+            distinct.insert(node.signature_hash(), node.children.len() as u64);
+        }
+        let (hits, misses) = probes;
+        assert_eq!(misses, distinct.len() as u64, "each distinct subtree is encoded once");
+        assert_eq!(hits + misses, stream.len() as u64 + distinct.values().sum::<u64>());
     }
 
     #[test]

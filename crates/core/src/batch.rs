@@ -38,7 +38,7 @@
 use crate::memory::{SubtreeState, SubtreeStateCache};
 use crate::model::TreeModel;
 use crate::trainer::TargetNormalization;
-use featurize::{EncodedPlan, FeatureExtractor, NodeFeatures};
+use featurize::{child_positions, key_pass, EncodedPlan, FeatureExtractor, NodeFeatures, NodeKeys};
 use nn::cells::CellOutput;
 use nn::{Graph, NodeId, ParamStore, QuantWeights};
 use query::cache::IdentityHasher;
@@ -302,7 +302,7 @@ struct MemoFlatNode<'a> {
 }
 
 /// A plan tree the memoized flatten walks top-down: an already-encoded
-/// plan, or a raw plan whose signatures a [`signature_pass`] computed.
+/// plan, or a raw plan whose signatures a [`key_pass`] computed.
 trait MemoTree<'a>: Copy {
     /// Structural signature of the subtree rooted here.
     fn signature(self) -> u64;
@@ -331,49 +331,32 @@ impl<'a> MemoTree<'a> for &'a EncodedPlan {
     }
 }
 
-/// A raw plan node plus its pre-order position in the signature buffer
-/// of [`signature_pass`].
+/// A raw plan node plus its pre-order position in the key buffer of
+/// [`key_pass`].
 #[derive(Clone, Copy)]
 struct RawNode<'a> {
     plan: &'a PlanNode,
     at: usize,
-    sigs: &'a [(u64, usize)],
+    keys: &'a [NodeKeys],
     extractor: &'a FeatureExtractor,
 }
 
 impl<'a> MemoTree<'a> for RawNode<'a> {
     fn signature(self) -> u64 {
-        self.sigs[self.at].0
+        self.keys[self.at].signature
     }
 
     fn size(self) -> usize {
-        self.sigs[self.at].1
+        self.keys[self.at].size
     }
 
     fn children(self) -> impl Iterator<Item = Self> {
-        // In pre-order a node's first child follows it, and each further
-        // child follows its elder sibling's whole subtree.
-        self.plan.children.iter().scan(self.at + 1, move |next, plan| {
-            let at = *next;
-            *next += self.sigs[at].1;
-            Some(RawNode { plan, at, ..self })
-        })
+        child_positions(self.plan, self.at, self.keys).map(move |(plan, at)| RawNode { plan, at, ..self })
     }
 
     fn features(self) -> Cow<'a, NodeFeatures> {
         Cow::Owned(self.extractor.encode_node(self.plan))
     }
-}
-
-/// Append `(signature, subtree size)` of every node of `plan` to `out` in
-/// pre-order, composing each signature from its children's exactly as
-/// [`FeatureExtractor::encode_plan`] does; returns the root's signature.
-fn signature_pass(plan: &PlanNode, out: &mut Vec<(u64, usize)>) -> u64 {
-    let at = out.len();
-    out.push((0, 0));
-    let signature = plan.signature_hash_from_children(plan.children.iter().map(|c| signature_pass(c, out)));
-    out[at] = (signature, out.len() - at);
-    signature
 }
 
 /// A flattened memoized batch, built top-down: every sub-plan is probed in
@@ -600,8 +583,9 @@ pub fn estimate_batch_memo(
 /// State-first memoized estimation of **raw plans** — the serving front
 /// door of the optimizer loop.
 ///
-/// One post-order pass per candidate computes every node's structural
-/// signature ([`PlanNode::signature_hash_from_children`], the composition
+/// One post-order [`key_pass`] per candidate — the one the key-first
+/// encode cache uses — computes every node's structural signature
+/// ([`PlanNode::signature_hash_from_children`], the composition
 /// [`FeatureExtractor::encode_plan`] uses) into a scratch buffer reused
 /// across chunks; the memoized flatten then probes the in-batch dedup map
 /// and `cache` top-down by those signatures, and only the nodes that miss
@@ -622,18 +606,18 @@ pub(crate) fn estimate_plans_memo(
     cache: &SubtreeStateCache,
 ) -> Vec<(f64, f64)> {
     let mut out = Vec::with_capacity(plans.len());
-    let mut sigs: Vec<(u64, usize)> = Vec::new();
+    let mut keys: Vec<NodeKeys> = Vec::new();
     let mut starts: Vec<usize> = Vec::with_capacity(GROUP_SIZE.min(plans.len()));
     for chunk in plans.chunks(GROUP_SIZE) {
-        sigs.clear();
+        keys.clear();
         starts.clear();
         for plan in chunk {
-            starts.push(sigs.len());
-            signature_pass(plan, &mut sigs);
+            starts.push(keys.len());
+            key_pass(plan, &mut keys);
         }
         let mut batch = MemoBatch::default();
         for (plan, &at) in chunk.iter().zip(&starts) {
-            batch.push_plan(RawNode { plan, at, sigs: &sigs, extractor }, cache);
+            batch.push_plan(RawNode { plan, at, keys: &keys, extractor }, cache);
         }
         out.extend(with_inference_tape(|g| {
             let (cost_out, card_out) = forward_memo(model, store, g, &batch, cache);

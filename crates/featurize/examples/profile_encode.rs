@@ -86,9 +86,14 @@ fn main() {
     });
     let warm_cache = ShardedCache::new();
     fx.encode_plans_cached(&plans, &warm_cache);
+    let (hits_before, misses_before) = warm_cache.stats();
     let warm_ns = time_ns(20, || {
         std::hint::black_box(fx.encode_plans_cached(&plans, &warm_cache));
     });
+    let (hits_after, misses_after) = warm_cache.stats();
+    // `time_ns` runs one untimed pass before the 20 timed ones.
+    let warm_probes_per_plan =
+        (hits_after - hits_before + misses_after - misses_before) as f64 / (21 * plans.len()) as f64;
     fx.clear_bitmap_memo();
     let _pass: Vec<EncodedPlan> = plans.iter().map(|p| fx.encode_plan(p)).collect();
     let (hits, misses) = fx.bitmap_memo_stats();
@@ -102,6 +107,10 @@ fn main() {
         fresh_ns / cold_ns.max(1.0),
         warm_ns / 1e6,
         fresh_ns / warm_ns.max(1.0),
+    );
+    println!(
+        "memoized warm pass: {warm_probes_per_plan:.2} encode-cache probes per plan ({:.2} nodes per plan)",
+        total_nodes as f64 / plans.len() as f64
     );
     println!(
         "bitmap memo over one fresh stream pass: {hits} hits / {misses} misses ({:.1}% hit rate)",

@@ -19,13 +19,17 @@
 //!   `(table, predicate signature)` in a [`ShardedCache`] shared by every
 //!   encode path (the sweep's inputs are immutable per extractor, so
 //!   entries never go stale);
-//! * whole sub-plan encodings are memoized by structural signature in a
-//!   caller-owned [`ShardedCache`]
-//!   ([`FeatureExtractor::encode_plan_cached`] /
+//! * whole sub-plan encodings are memoized in a caller-owned
+//!   [`ShardedCache`] ([`FeatureExtractor::encode_plan_cached`] /
 //!   [`FeatureExtractor::encode_plans_cached`];
 //!   [`FeatureExtractor::encode_plans`] dedups within one batch through a
 //!   throwaway one), so DP enumeration encodes each distinct subtree
-//!   exactly once.
+//!   exactly once.  The memoized paths are **key-first**: one post-order
+//!   [`key_pass`] writes every node's signature, memo key and subtree size
+//!   into a pre-order buffer, then the cache is probed top-down from the
+//!   root and the walk stops at the first hit.  A plan seen before costs
+//!   one probe and one `Arc` clone, and an un-annotated subtree's memo key
+//!   is its signature, so serving plans hash each node once.
 //!
 //! Every memoized path is **bit-identical** to the fresh
 //! [`FeatureExtractor::encode_plan`]: encoding is deterministic in the plan
@@ -465,15 +469,16 @@ impl FeatureExtractor {
     /// encoded at most once per cache, and a hit returns the shared
     /// `Arc<EncodedPlan>` without touching the plan's nodes again.
     ///
-    /// The memo key mixes the structural signature with the subtree's
-    /// annotations (targets are part of an `EncodedPlan`), so structurally
-    /// identical plans with different training targets never alias — the
-    /// result is bit-identical to a fresh encode for *any* plan, annotated
-    /// or not.
+    /// Key-first: one [`key_pass`] computes every node's signature and memo
+    /// key, then the cache is probed top-down from the root, so a plan whose
+    /// root is cached costs one probe however large it is.  Memo keys cover
+    /// the training targets too, so structurally identical plans with
+    /// different targets never alias — the result is bit-identical to a
+    /// fresh encode for *any* plan, annotated or not.
     pub fn encode_plan_cached(&self, plan: &PlanNode, cache: &ShardedCache<Arc<EncodedPlan>>) -> Arc<EncodedPlan> {
-        let mut stack = Vec::new();
-        self.encode_cached_rec(plan, cache, &mut stack);
-        stack.pop().expect("encode_cached_rec pushes exactly one root entry").0
+        let mut keys = Vec::new();
+        key_pass(plan, &mut keys);
+        self.encode_keyed(plan, 0, &keys, cache)
     }
 
     /// Encode a batch with in-batch signature dedup: subtrees shared across
@@ -486,77 +491,125 @@ impl FeatureExtractor {
 
     /// [`FeatureExtractor::encode_plans`] against a caller-owned cache (the
     /// serving layer passes its cross-call encode cache here), so dedup
-    /// extends across batches, sessions and rounds.
+    /// extends across batches, sessions and rounds.  The key buffer is
+    /// reused across the batch: a fully warm batch allocates only the
+    /// returned `Vec`.
     pub fn encode_plans_cached(
         &self,
         plans: &[PlanNode],
         cache: &ShardedCache<Arc<EncodedPlan>>,
     ) -> Vec<Arc<EncodedPlan>> {
-        let mut stack = Vec::new();
+        let mut keys = Vec::new();
         plans
             .iter()
             .map(|p| {
-                self.encode_cached_rec(p, cache, &mut stack);
-                stack.pop().expect("encode_cached_rec pushes exactly one root entry").0
+                keys.clear();
+                key_pass(p, &mut keys);
+                self.encode_keyed(p, 0, &keys, cache)
             })
             .collect()
     }
 
-    /// Pushes the encoded subtree and its memo key onto `stack` (exactly one
-    /// entry per call).  The stack is threaded through the recursion instead
-    /// of collecting a per-node `Vec` of children, so a fully warm pass —
-    /// every node a cache hit — performs no heap allocation at all: just
-    /// signature hashing, one probe per node and `Arc` refcount traffic.
-    fn encode_cached_rec(
+    /// The top-down half of key-first encoding: probe `cache` for the
+    /// subtree at pre-order position `at`, and on a miss encode its children
+    /// the same way, then the node itself, and insert the result.
+    fn encode_keyed(
         &self,
         plan: &PlanNode,
+        at: usize,
+        keys: &[NodeKeys],
         cache: &ShardedCache<Arc<EncodedPlan>>,
-        stack: &mut Vec<(Arc<EncodedPlan>, u64)>,
-    ) {
-        let base = stack.len();
-        for c in &plan.children {
-            self.encode_cached_rec(c, cache, stack);
-        }
-        let signature = plan.signature_hash_from_children(stack[base..].iter().map(|(c, _)| c.signature));
-        // The memo key: structural signature ⧺ this node's annotations ⧺
-        // the children's memo keys.  Child keys cover the children's own
-        // annotations recursively, so two trees share a key only when their
-        // entire content — and therefore their entire encoding — agrees.
-        let mut h = SigHasher::new();
-        h.write_u64(signature);
-        match plan.annotations.true_cardinality {
-            Some(v) => {
-                h.write_u8(1);
-                h.write_f64(v);
-            }
-            None => h.write_u8(0),
-        }
-        match plan.annotations.true_cost {
-            Some(v) => {
-                h.write_u8(1);
-                h.write_f64(v);
-            }
-            None => h.write_u8(0),
-        }
-        for (_, child_key) in &stack[base..] {
-            h.write_u64(*child_key);
-        }
-        let key = h.finish();
-        if let Some(hit) = cache.get(key) {
-            stack.truncate(base);
-            stack.push((hit, key));
-            return;
+    ) -> Arc<EncodedPlan> {
+        let NodeKeys { signature, memo_key, .. } = keys[at];
+        if let Some(hit) = cache.get(memo_key) {
+            return hit;
         }
         let encoded = Arc::new(EncodedPlan {
+            children: child_positions(plan, at, keys).map(|(c, at)| self.encode_keyed(c, at, keys, cache)).collect(),
             features: self.encode_node(plan),
-            children: stack.drain(base..).map(|(c, _)| c).collect(),
             true_cardinality: plan.annotations.true_cardinality.unwrap_or(0.0),
             true_cost: plan.annotations.true_cost.unwrap_or(0.0),
             signature,
         });
-        cache.insert(key, Arc::clone(&encoded));
-        stack.push((encoded, key));
+        cache.insert(memo_key, Arc::clone(&encoded));
+        encoded
     }
+}
+
+/// The keys of one plan node, laid out by [`key_pass`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NodeKeys {
+    /// Structural signature of the subtree ([`PlanNode::signature_hash`]).
+    pub signature: u64,
+    /// Encode-cache key of the subtree.  A subtree that carries no training
+    /// target anywhere encodes from its structure alone, so its key is its
+    /// signature.  Otherwise the key hashes the signature, this node's
+    /// targets and the children's keys, so two subtrees share a key only
+    /// when their entire content — and so their entire encoding — agrees.
+    pub memo_key: u64,
+    /// Number of nodes in the subtree.
+    pub size: usize,
+}
+
+/// Append the [`NodeKeys`] of every node of `plan` to `out` in pre-order.
+///
+/// One post-order pass composes each signature from its children's with
+/// [`PlanNode::signature_hash_from_children`], exactly as
+/// [`FeatureExtractor::encode_plan`] does, so serving plans hash each node
+/// once.  Pre-order makes a child's position its elder sibling's position
+/// plus that sibling's size ([`child_positions`]).
+pub fn key_pass(plan: &PlanNode, out: &mut Vec<NodeKeys>) {
+    key_pass_rec(plan, out);
+}
+
+/// [`key_pass`] for one subtree; returns its signature and whether any of
+/// its nodes carries a training target.
+fn key_pass_rec(plan: &PlanNode, out: &mut Vec<NodeKeys>) -> (u64, bool) {
+    let at = out.len();
+    out.push(NodeKeys::default());
+    let targets = &plan.annotations;
+    let mut annotated = targets.true_cardinality.is_some() || targets.true_cost.is_some();
+    let signature = plan.signature_hash_from_children(plan.children.iter().map(|c| {
+        let (signature, child_annotated) = key_pass_rec(c, out);
+        annotated |= child_annotated;
+        signature
+    }));
+    let memo_key = if annotated {
+        let mut h = SigHasher::new();
+        h.write_u64(signature);
+        for target in [targets.true_cardinality, targets.true_cost] {
+            match target {
+                Some(v) => {
+                    h.write_u8(1);
+                    h.write_f64(v);
+                }
+                None => h.write_u8(0),
+            }
+        }
+        for (_, child) in child_positions(plan, at, out) {
+            h.write_u64(out[child].memo_key);
+        }
+        h.finish()
+    } else {
+        signature
+    };
+    out[at] = NodeKeys { signature, memo_key, size: out.len() - at };
+    (signature, annotated)
+}
+
+/// The children of the node at pre-order position `at` of `layout`, each
+/// with its own position: in pre-order a node's first child follows it,
+/// and each further child follows its elder sibling's whole subtree.
+pub fn child_positions<'a>(
+    plan: &'a PlanNode,
+    at: usize,
+    layout: &'a [NodeKeys],
+) -> impl Iterator<Item = (&'a PlanNode, usize)> + 'a {
+    plan.children.iter().scan(at + 1, move |next, child| {
+        let at = *next;
+        *next += layout[at].size;
+        Some((child, at))
+    })
 }
 
 #[cfg(test)]

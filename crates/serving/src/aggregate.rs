@@ -19,25 +19,37 @@
 
 use estimator_core::ServingEstimator;
 use featurize::EncodedPlan;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A borrowed plan slice smuggled across the leader thread.
+/// A borrowed slice of plan references smuggled across the leader thread.
 ///
 /// Safety: the requesting session blocks inside [`BatchAggregator::estimate`]
-/// until its [`ResultSlot`] is delivered, so the slice is alive for as long
-/// as any other thread can observe this pointer; `EncodedPlan` is `Sync`,
-/// so the leader may read it from another thread.
+/// until its [`ResultSlot`] is delivered, so the slice and the plans it
+/// points to are alive for as long as any other thread can observe this
+/// pointer; `EncodedPlan` is `Sync`, so the leader may read them from
+/// another thread.  The `'static` is a placeholder for that borrow: no
+/// reference read through [`PlanSlice::as_slice`] outlives the slice.
 struct PlanSlice {
-    ptr: *const EncodedPlan,
+    ptr: *const &'static EncodedPlan,
     len: usize,
 }
 
+// SAFETY: both fields describe one borrowed `[&EncodedPlan]` that stays
+// alive while any other thread can reach this value (see above), and
+// `&EncodedPlan` is `Send` because `EncodedPlan` is `Sync`.
 unsafe impl Send for PlanSlice {}
 
 impl PlanSlice {
-    fn as_slice(&self) -> &[EncodedPlan] {
-        // Safety: see the type-level invariant above.
+    fn new(plans: &[&EncodedPlan]) -> Self {
+        PlanSlice { ptr: plans.as_ptr().cast(), len: plans.len() }
+    }
+
+    fn as_slice(&self) -> &[&EncodedPlan] {
+        // SAFETY: `ptr` and `len` come from one live slice (`PlanSlice::new`),
+        // which the requesting session keeps alive while it waits (see the
+        // type-level invariant above).
         unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 }
@@ -131,18 +143,17 @@ impl BatchAggregator {
     /// coalesced with other sessions' concurrent requests into one batched
     /// inference call.  Blocks until this request's results are ready.
     /// Bit-identical to `serving().estimate_encoded_batch` on the same
-    /// plans.
-    pub fn estimate(&self, plans: &[EncodedPlan]) -> Vec<(f64, f64)> {
+    /// plans, which may be owned, shared `Arc`s or references: the request
+    /// queues references only.
+    pub fn estimate<P: Borrow<EncodedPlan>>(&self, plans: &[P]) -> Vec<(f64, f64)> {
         if plans.is_empty() {
             return Vec::new();
         }
+        let refs: Vec<&EncodedPlan> = plans.iter().map(Borrow::borrow).collect();
         let slot = Arc::new(ResultSlot::default());
         let became_leader = {
             let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.pending.push(Request {
-                plans: PlanSlice { ptr: plans.as_ptr(), len: plans.len() },
-                result: Arc::clone(&slot),
-            });
+            st.pending.push(Request { plans: PlanSlice::new(&refs), result: Arc::clone(&slot) });
             if st.leader_active {
                 false
             } else {
@@ -172,8 +183,16 @@ impl BatchAggregator {
                     }
                     std::mem::take(&mut st.pending)
                 };
-                let refs: Vec<&EncodedPlan> = guard.wave.iter().flat_map(|r| r.plans.as_slice()).collect();
                 self.waves.fetch_add(1, Ordering::Relaxed);
+                if let [req] = guard.wave.as_slice() {
+                    // A lone request is scored from its own references, and
+                    // the results move into its slot uncopied.
+                    let results = self.serving.estimate_encoded_batch(req.plans.as_slice());
+                    let req = guard.wave.pop().expect("one request");
+                    req.result.set(SlotState::Ready(results));
+                    continue;
+                }
+                let refs: Vec<&EncodedPlan> = guard.wave.iter().flat_map(|r| r.plans.as_slice()).copied().collect();
                 let results = self.serving.estimate_encoded_batch(&refs);
                 let mut offset = 0;
                 for req in guard.wave.drain(..) {
@@ -268,7 +287,12 @@ mod tests {
         let coalesced = agg.estimate(&encoded);
         let bits = |v: &[(f64, f64)]| v.iter().map(|(c, k)| (c.to_bits(), k.to_bits())).collect::<Vec<_>>();
         assert_eq!(bits(&coalesced), bits(&direct));
-        assert!(agg.estimate(&[]).is_empty());
+        // Shared `Arc`s and plain references serve the same bits.
+        let shared: Vec<Arc<EncodedPlan>> = encoded.iter().cloned().map(Arc::new).collect();
+        assert_eq!(bits(&agg.estimate(&shared)), bits(&direct));
+        let refs: Vec<&EncodedPlan> = encoded.iter().collect();
+        assert_eq!(bits(&agg.estimate(&refs)), bits(&direct));
+        assert!(agg.estimate::<EncodedPlan>(&[]).is_empty());
     }
 
     /// Plans featurized under a wider sample bitmap (64 bits) than the model

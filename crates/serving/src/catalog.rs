@@ -6,6 +6,7 @@ use estimator_core::{CheckpointError, CostEstimator, Estimator, PlanEstimate};
 use featurize::EncodedPlan;
 use parking_lot::RwLock;
 use query::PlanNode;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -291,7 +292,10 @@ impl Session {
     /// under; across a hot-swap of a model with the *same* vocabulary
     /// (the common retrain-and-roll-out case, enforced at checkpoint load)
     /// they remain valid.
-    pub fn estimate_encoded(&self, plans: &[EncodedPlan]) -> Option<Vec<(f64, f64)>> {
+    ///
+    /// Takes owned plans, the shared `Arc`s of [`Session::encode_batch`] or
+    /// plain references alike.
+    pub fn estimate_encoded<P: Borrow<EncodedPlan>>(&self, plans: &[P]) -> Option<Vec<(f64, f64)>> {
         let model = self.model()?;
         let estimates = model.aggregator()?.estimate(plans);
         self.capture(plans, &estimates);
@@ -315,11 +319,13 @@ impl Session {
     /// shared encoded-subtree cache: every distinct (subtree, annotations)
     /// across the batch — and across concurrent sessions of this tenant —
     /// is featurized at most once, with results bit-identical to
-    /// [`Session::encode`] per plan.  Feedback registration is preserved:
+    /// [`Session::encode`] per plan.  The plans come back as the cache's
+    /// shared `Arc`s, not copies: a plan seen before costs one cache probe
+    /// and one refcount bump.  Feedback registration is preserved:
     /// with capture enabled, each plan is registered under its signature
     /// exactly as the one-at-a-time path does.  `None` when no model is
     /// published or the backend is not the tree estimator.
-    pub fn encode_batch(&self, plans: &[PlanNode]) -> Option<Vec<EncodedPlan>> {
+    pub fn encode_batch(&self, plans: &[PlanNode]) -> Option<Vec<Arc<EncodedPlan>>> {
         let model = self.model()?;
         let encoded = model.tree()?.encode_plans(plans);
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
@@ -327,15 +333,16 @@ impl Session {
                 feedback.registry().register(enc.signature, plan);
             }
         }
-        Some(encoded.into_iter().map(|e| EncodedPlan::clone(&e)).collect())
+        Some(encoded)
     }
 
     /// Record a served batch into the tenant's feedback log, when capture is
     /// enabled.  One uncontended `RwLock` read per batch on the hot path;
     /// the log pushes themselves are sharded ring-buffer appends.
-    fn capture(&self, plans: &[EncodedPlan], estimates: &[(f64, f64)]) {
+    fn capture<P: Borrow<EncodedPlan>>(&self, plans: &[P], estimates: &[(f64, f64)]) {
         if let Some(feedback) = self.tenant.feedback.read().as_ref() {
-            feedback.log().record_batch(plans.iter().map(|p| &p.signature).zip(estimates.iter()));
+            let signatures = plans.iter().map(|p| &Borrow::<EncodedPlan>::borrow(p).signature);
+            feedback.log().record_batch(signatures.zip(estimates));
         }
     }
 }
@@ -498,7 +505,7 @@ mod tests {
         // Bit-identical to the one-at-a-time path, plan for plan.
         for (plan, batched) in plans.iter().zip(&batch) {
             let one = session.encode(plan).expect("one");
-            assert_eq!(one, *batched, "memoized batch encode must match Session::encode");
+            assert_eq!(one, **batched, "memoized batch encode must match Session::encode");
         }
         // Feedback registration preserved: every plan is executable again.
         for enc in &batch {
@@ -587,7 +594,7 @@ mod tests {
         assert_eq!(s.estimate_plans(&plans).expect("pg"), want);
         // No tree fast path on a dyn backend.
         assert!(s.encode(&plans[0]).is_none());
-        assert!(s.estimate_encoded(&[]).is_none());
+        assert!(s.estimate_encoded::<EncodedPlan>(&[]).is_none());
         assert!(catalog.remove("pg"));
         assert!(catalog.session("pg").is_none());
     }
